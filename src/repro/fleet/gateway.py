@@ -287,7 +287,10 @@ class FleetGateway:
         return verdicts
 
     async def _health_loop(self) -> None:
-        while True:
+        # Checked as well as cancelled: before Python 3.12, a cancel
+        # that lands as a probe's ``wait_for`` completes is swallowed,
+        # and a loop that only stops on cancellation then runs forever.
+        while not self._closed:
             await self.clock.sleep(self.config.health_interval_s)
             await self.check_health_once()
 

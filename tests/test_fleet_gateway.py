@@ -196,6 +196,36 @@ class TestHealth:
         victim, ring_nodes = run(scenario())
         assert victim not in ring_nodes
 
+    def test_close_stops_a_probe_that_swallows_the_cancel(self):
+        # Before Python 3.12, asyncio.wait_for returns the probe's
+        # result instead of raising when the cancel lands as the probe
+        # ends; close() must stop the health loop all the same.
+        async def scenario():
+            gateway = FleetGateway(GatewayConfig(health_interval_s=0.001))
+            entered = asyncio.Event()
+            swallowed = []
+
+            async def probe_swallowing_one_cancel():
+                entered.set()
+                try:
+                    await asyncio.sleep(0.05)
+                except asyncio.CancelledError:
+                    if swallowed:
+                        raise
+                    swallowed.append(True)
+                return {}
+
+            gateway.check_health_once = probe_swallowing_one_cancel
+            await gateway.start()
+            await entered.wait()
+            closing = asyncio.ensure_future(gateway.close())
+            done, _ = await asyncio.wait({closing}, timeout=5.0)
+            return closing in done, swallowed
+
+        closed, swallowed = run(scenario())
+        assert swallowed == [True]
+        assert closed
+
 
 class TestFanOutAndMetrics:
     def test_metrics_aggregates_gateway_and_nodes(self):
