@@ -18,11 +18,9 @@ from repro.core.strategy import (
     EmulationStrategy,
     strategy_for,
 )
-from repro.core.thrashing import ThrashingMonitor
 from repro.core.metrics import SimResult, imul_latency_overhead, geomean_change, median_change
-from repro.core.simulator import TraceSimulator
-from repro.core.batchsim import (SweepConfig, TraceEpisode, compile_episode,
-                                 simulate_sweep)
+from repro.core.simulator import TraceEpisode, TraceSimulator, compile_episode
+from repro.core.batchsim import SweepConfig, simulate_sweep
 from repro.core.multicore import merged_multicore_trace
 from repro.core.estimates import emulation_estimate, nosimd_estimate
 from repro.core.policy import AdaptiveStrategyPolicy, StrategyDecision, oracle_best
@@ -43,7 +41,6 @@ __all__ = [
     "VoltageStrategy",
     "EmulationStrategy",
     "strategy_for",
-    "ThrashingMonitor",
     "SimResult",
     "imul_latency_overhead",
     "geomean_change",

@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
 from repro.core.batchsim import SweepConfig, simulate_sweep
-from repro.core.estimates import emulation_estimate, nosimd_estimate
+from repro.core.estimates import nosimd_estimate
 from repro.core.metrics import SimResult, geomean_change, median_change
-from repro.core.multicore import merged_multicore_trace
 from repro.core.params import StrategyParams, default_params_for
 from repro.core.simulator import TraceSimulator
 from repro.core.strategy import OperatingStrategy, strategy_for
@@ -78,60 +77,40 @@ class SuitSystem:
         """A fresh strategy instance with this system's parameters."""
         return strategy_for(self.strategy_name, self.params)
 
-    def run_trace(self, profile: WorkloadProfile, trace: FaultableTrace,
-                  record_timeline: bool = False,
-                  harden_imul: bool = True) -> SimResult:
-        """Simulate *trace* under this configuration.
-
-        ``harden_imul=False`` skips the built-in +1-cycle IMUL tax so
-        callers exploring other pipeline depths can post-apply their
-        own via :func:`repro.core.metrics.apply_imul_tax`.
-        """
-        if self.n_cores > 1 and not self.cpu.topology.per_core_frequency:
-            trace = merged_multicore_trace(trace, self.n_cores)
-        sim = TraceSimulator(
-            cpu=self.cpu,
-            profile=profile,
-            trace=trace,
-            strategy=self.make_strategy(),
-            voltage_offset=self.voltage_offset,
-            seed=self.seed,
-            record_timeline=record_timeline,
-            harden_imul=harden_imul,
-        )
-        return sim.run()
-
     def run_profile(self, profile: WorkloadProfile,
                     record_timeline: bool = False,
                     harden_imul: bool = True) -> SimResult:
         """Synthesise the profile's trace (cached) and simulate it.
 
-        The emulation strategy uses the paper's closed-form estimate
-        (section 6.2) rather than per-event simulation, matching the
-        evaluation methodology (``harden_imul`` is ignored there: the
+        A width-1 :func:`~repro.core.batchsim.simulate_sweep` of this
+        system's strategy, offset and seed.  The emulation strategy
+        uses the paper's closed-form estimate (section 6.2) rather than
+        per-event simulation, matching the evaluation methodology
+        (``harden_imul`` and ``record_timeline`` are ignored there: the
         estimate always carries the paper's +1-cycle hardening).
+        ``harden_imul=False`` skips the built-in +1-cycle IMUL tax so
+        callers exploring other pipeline depths can post-apply their
+        own via :func:`repro.core.metrics.apply_imul_tax`.
         """
-        trace = self._trace(profile)
-        if self.strategy_name == "e":
-            if profile.in_enclave:
-                raise ValueError(
-                    f"{profile.name} runs in a trusted execution environment; "
-                    "emulation is not possible for enclaves (section 4.3) — "
-                    "use a curve-switching strategy")
-            return emulation_estimate(self.cpu, profile, trace, self.voltage_offset)
-        return self.run_trace(profile, trace, record_timeline,
-                              harden_imul=harden_imul)
+        config = SweepConfig(strategy=self.strategy_name,
+                             voltage_offset=self.voltage_offset,
+                             seed=self.seed, harden_imul=harden_imul)
+        [result] = simulate_sweep(self.cpu, profile, self._trace(profile),
+                                  [config], params=self.params,
+                                  n_cores=self.n_cores,
+                                  record_timeline=record_timeline)
+        return result
 
     def run_sweep(self, profile: WorkloadProfile,
                   configs: Iterable[SweepConfig]) -> List[SimResult]:
         """Evaluate many sweep configs over this profile's trace.
 
         The trace is synthesised (or served from cache) once and
-        compiled once; every config replays the shared episode through
-        the vectorised kernel (:mod:`repro.core.batchsim`).  Per-config
-        semantics match :meth:`run_profile` bit-for-bit: a config with
-        this system's strategy, offset and ``seed == self.seed``
-        reproduces ``run_profile(profile)`` exactly.
+        compiled once; every config runs on the shared episode
+        (:mod:`repro.core.batchsim`).  :meth:`run_profile` is the
+        width-1 case: a config with this system's strategy, offset and
+        ``seed == self.seed`` reproduces ``run_profile(profile)``
+        exactly.
 
         Note the config seeds only steer the *simulation* RNG; trace
         synthesis always uses this system's seed, as in
@@ -173,7 +152,7 @@ class SuitSystem:
         tasks = [Task(profile=p, trace=self._trace(p)) for p in profiles]
         base_profile, merged = _merge_domain_traces(tasks)
         # The merged trace already encodes all cores: bypass the
-        # homogeneous-multicore stagger of run_trace.
+        # homogeneous-multicore stagger of run_profile.
         sim = TraceSimulator(
             cpu=self.cpu,
             profile=base_profile,

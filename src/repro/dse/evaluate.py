@@ -4,8 +4,9 @@ One generation of genomes becomes a handful of ``simulate_sweep``
 calls: genomes canonicalize to :class:`~repro.dse.objectives.SimJob`
 identities, unique jobs group by deadline (one
 :class:`~repro.core.params.StrategyParams` per sweep call) and each
-group replays the shared compiled trace episode through
-:mod:`repro.core.batchsim` — never one scalar run per genome.  Jobs
+group runs on the shared compiled trace episode as one
+:func:`~repro.core.batchsim.simulate_sweep` call — never one
+simulation per genome.  Jobs
 seen in an earlier generation are memo hits; an optional on-disk
 :class:`~repro.runtime.cache.ResultCache` extends the memo across
 processes and searches, keyed by

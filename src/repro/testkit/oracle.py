@@ -12,8 +12,8 @@ The :class:`DifferentialOracle` checks exactly that.  It takes one
 canonical request set and replays it through every execution channel
 the stack offers:
 
-* **scalar** — ``SuitSystem.run_profile`` per request: the reference.
-* **sweep**  — the vectorized ``run_sweep`` grouping used by
+* **reference** — ``SuitSystem.run_profile`` per request.
+* **sweep**  — the grouped ``run_sweep`` calls of
   :func:`repro.service.workers._simulate_group`.
 * **batch**  — :func:`repro.service.workers.execute_batch`, the exact
   code pool workers run (fault hooks included).
@@ -203,7 +203,7 @@ class DifferentialOracle:
         return payloads
 
     def check_sweep(self) -> ChannelReport:
-        """Vectorized ``run_sweep`` vs the scalar reference.
+        """Grouped ``run_sweep`` calls vs the per-request reference.
 
         Mirrors the grouping of
         :func:`repro.service.workers.execute_batch`: requests sharing
@@ -271,7 +271,7 @@ class DifferentialOracle:
 
         The service is typically running under chaos: explicit
         failures count as degraded, ``ok`` payloads must be strictly
-        equal to the scalar reference.  Requests are submitted
+        equal to the reference.  Requests are submitted
         concurrently — chaos should meet a loaded service, and one
         stalled request must not serialise the whole pass.
         """

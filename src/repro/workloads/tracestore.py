@@ -28,8 +28,8 @@ instead of copying:
   so a worker's death never unlinks pages other processes still map.
 
 The tiny derived per-trace tables (the emulation-cycle table) travel in
-the manifest itself; the compiled block-maximum index of
-``repro.core.batchsim`` stays per-process (it is a few kilobytes).
+the manifest itself; the compiled episode's block-maximum index
+(``repro.core.simulator``) stays per-process (it is a few kilobytes).
 
 Everything here degrades gracefully: if shared memory or the manifest
 directory is unavailable the callers fall back to private traces, and

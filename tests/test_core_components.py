@@ -1,5 +1,6 @@
 """Unit tests for SUIT core components: params, thrashing, metrics."""
 
+import numpy as np
 import pytest
 
 from repro.core.metrics import (
@@ -14,7 +15,11 @@ from repro.core.params import (
     StrategyParams,
     default_params_for,
 )
-from repro.core.thrashing import ThrashingMonitor
+from repro.core.simulator import TraceSimulator
+from repro.core.strategy import FrequencyStrategy
+from repro.hardware.models import cpu_c_xeon_4208
+from repro.isa.opcodes import Opcode
+from repro.workloads.trace import FaultableTrace
 from repro.workloads.spec import spec_profile
 
 
@@ -53,39 +58,55 @@ class TestStrategyParams:
             StrategyParams(thrash_deadline_factor=0.5)
 
 
-class TestThrashingMonitor:
+class _WindowLoggingStrategy(FrequencyStrategy):
+    """The ``f`` strategy, logging the #DO count its thrashing check
+    sees on every trap."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.counts = []
+
+    def on_disabled_instruction(self, cpu):
+        self.counts.append(
+            cpu.exception_count_in_timespan(self.params.thrash_timespan_s))
+        super().on_disabled_instruction(cpu)
+
+
+class TestThrashWindow:
+    """The simulator's sliding #DO window (p_ts = 450 us, p_ec = 3 on
+    CPU C), driven by eight evenly spaced faultable events."""
+
+    def _run(self, spacing_s):
+        cpu = cpu_c_xeon_4208()
+        step = int(spacing_s * 1.5 * cpu.nominal_frequency)
+        indices = np.arange(1, 9) * step
+        trace = FaultableTrace(
+            name="thrash", n_instructions=int(indices[-1]) + step, ipc=1.5,
+            indices=indices, opcodes=np.zeros(8, np.uint8),
+            opcode_table=(Opcode.VOR,))
+        strategy = _WindowLoggingStrategy(default_params_for(cpu.vendor))
+        result = TraceSimulator(cpu, spec_profile("557.xz"), trace,
+                                strategy, -0.097).run()
+        return strategy.counts, result
+
     def test_counts_within_window(self):
-        monitor = ThrashingMonitor(timespan_s=450e-6, threshold=3)
-        for t in (0.0, 100e-6, 200e-6):
-            monitor.record(t)
-        assert monitor.count_in_window(200e-6) == 3
+        # 60 us apart: each gap outlasts the 30 us deadline, so every
+        # event traps until the window holds p_ec of them.
+        counts, _ = self._run(60e-6)
+        assert counts == [1, 2, 3]
 
     def test_evicts_old_entries(self):
-        monitor = ThrashingMonitor(450e-6, 3)
-        monitor.record(0.0)
-        monitor.record(1.0)
-        assert monitor.count_in_window(1.0) == 1
+        # 300 us apart: a 450 us window never holds more than two.
+        counts, result = self._run(300e-6)
+        assert counts == [1] + [2] * 7
+        assert result.n_thrash_stretches == 0
 
     def test_detects_thrashing_at_threshold(self):
-        monitor = ThrashingMonitor(450e-6, 3)
-        monitor.record(0.0)
-        monitor.record(1e-6)
-        assert not monitor.is_thrashing(2e-6)
-        monitor.record(2e-6)
-        assert monitor.is_thrashing(3e-6)
-        assert monitor.trigger_count == 1
-
-    def test_rejects_time_travel(self):
-        monitor = ThrashingMonitor(450e-6, 3)
-        monitor.record(1.0)
-        with pytest.raises(ValueError):
-            monitor.record(0.5)
-
-    def test_reset(self):
-        monitor = ThrashingMonitor(450e-6, 1)
-        monitor.record(0.0)
-        monitor.reset()
-        assert monitor.count_in_window(0.0) == 0
+        # The third trap within p_ts stretches the deadline, which then
+        # spans the remaining gaps: no further traps.
+        _, result = self._run(60e-6)
+        assert result.n_thrash_stretches == 1
+        assert result.n_exceptions == 3
 
 
 class TestImulOverhead:
