@@ -20,6 +20,7 @@ from repro.pipeline.config import GEM5_REFERENCE_CONFIG
 from repro.pipeline.generator import StreamSpec, generate_stream
 from repro.pipeline.scoreboard import OutOfOrderCore
 from repro.workloads.generator import generate_trace
+from repro.workloads.network import NGINX_PROFILE
 from repro.workloads.profile import WorkloadProfile
 
 
@@ -39,6 +40,12 @@ def bench_trace(bench_profile):
 def test_trace_synthesis(benchmark, bench_profile):
     trace = benchmark(generate_trace, bench_profile, seed=1)
     assert trace.n_events > 10_000
+
+
+def test_trace_synthesis_nginx(benchmark):
+    """Synthesis at the size ``opbench cold`` pays per op (~8.3 M events)."""
+    trace = benchmark(generate_trace, NGINX_PROFILE, seed=1)
+    assert trace.n_events > 8_000_000
 
 
 def test_trace_simulator_fv(benchmark, bench_profile, bench_trace):

@@ -51,10 +51,14 @@ def merged_multicore_trace(trace: FaultableTrace, n_cores: int,
     parts_ops = []
     for core in range(n_cores):
         shift = int(round(core * stagger_fraction * n)) % n
-        shifted = (trace.indices + shift) % n
-        order = np.argsort(shifted, kind="stable")
-        parts_idx.append(shifted[order])
-        parts_ops.append(trace.opcodes[order])
+        # Shifting by *shift* wraps the events at or after n - shift to
+        # [0, shift) and moves the rest to [shift, n): the sorted copy
+        # is the wrapped tail followed by the head, in trace order.
+        split = int(np.searchsorted(trace.indices, n - shift))
+        parts_idx.append(np.concatenate((trace.indices[split:] + (shift - n),
+                                         trace.indices[:split] + shift)))
+        parts_ops.append(np.concatenate((trace.opcodes[split:],
+                                         trace.opcodes[:split])))
     merged_idx = np.concatenate(parts_idx)
     merged_ops = np.concatenate(parts_ops)
     order = np.argsort(merged_idx, kind="stable")

@@ -10,6 +10,7 @@ turns a profile into a concrete :class:`~repro.workloads.trace.FaultableTrace`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Mapping
 
@@ -78,11 +79,17 @@ class WorkloadProfile:
             raise ValueError("imul_density must be a fraction")
         if not 0.0 <= self.imul_chain_fraction <= 1.0:
             raise ValueError("imul_chain_fraction must be a fraction")
-        for op in self.opcode_mix:
+        if not self.opcode_mix:
+            raise ValueError("opcode_mix must name at least one opcode")
+        for op, weight in self.opcode_mix.items():
             if op not in TRAPPED_OPCODES:
                 raise ValueError(f"{op} is not a trapped opcode")
-        if self.opcode_mix and sum(self.opcode_mix.values()) <= 0:
-            raise ValueError("opcode_mix weights must sum to a positive value")
+            if not 0.0 <= weight < math.inf:
+                raise ValueError(f"opcode_mix weight of {op} must be finite "
+                                 f"and non-negative, got {weight}")
+        if not 0.0 < sum(self.opcode_mix.values()) < math.inf:
+            raise ValueError("opcode_mix weights must sum to a positive, "
+                             "finite value")
 
     def nosimd_for(self, vendor: str) -> float:
         """No-SIMD score impact for *vendor* ("intel"/"amd")."""

@@ -54,11 +54,17 @@ class FaultableTrace:
             raise ValueError("IPC must be positive")
         if self.indices.shape != self.opcodes.shape:
             raise ValueError("indices and opcodes must have equal length")
+        # The gaps are built here, in one pass over the indices, and
+        # double as the sortedness check.
+        gaps = np.empty_like(self.indices)
         if self.indices.size:
             if self.indices[0] < 0 or self.indices[-1] >= self.n_instructions:
                 raise ValueError("event indices outside the instruction range")
-            if np.any(np.diff(self.indices) < 0):
+            gaps[0] = self.indices[0]
+            np.subtract(self.indices[1:], self.indices[:-1], out=gaps[1:])
+            if gaps.min() < 0:
                 raise ValueError("event indices must be sorted")
+        self._gaps = gaps
         if self.opcodes.size and self.opcodes.max() >= len(self.opcode_table):
             raise ValueError("opcode code outside opcode_table")
 
@@ -75,13 +81,9 @@ class FaultableTrace:
     def gaps(self) -> np.ndarray:
         """Instruction gaps: ``indices[0]`` then successive differences.
 
-        Cached; the event simulator and the gap analyses share it.
+        Built with the trace, where they also prove the indices sorted;
+        the event simulator and the gap analyses share the array.
         """
-        if self._gaps is None:
-            if self.indices.size == 0:
-                self._gaps = np.empty(0, dtype=np.int64)
-            else:
-                self._gaps = np.diff(self.indices, prepend=np.int64(0))
         return self._gaps
 
     def emulation_cycle_table(self) -> np.ndarray:

@@ -114,6 +114,17 @@ class TestWorkloadProfile:
             WorkloadProfile("x", "SPECint", 1000, 1.0, 0.5, 1, 100,
                             opcode_mix={Opcode.IMUL: 1.0})
 
+    @pytest.mark.parametrize("mix", [
+        {},
+        {Opcode.VOR: 1.0, Opcode.VXOR: -0.5},
+        {Opcode.VOR: 1.0, Opcode.VXOR: float("nan")},
+        {Opcode.VOR: 1.0, Opcode.VXOR: float("inf")},
+    ], ids=["empty", "negative", "nan", "infinite"])
+    def test_bad_opcode_weights_rejected(self, mix):
+        with pytest.raises(ValueError, match="opcode_mix"):
+            WorkloadProfile("x", "SPECint", 1000, 1.0, 0.5, 1, 100,
+                            opcode_mix=mix)
+
     def test_nosimd_lookup(self, small_profile):
         assert small_profile.nosimd_for("intel") == -0.02
         with pytest.raises(KeyError):
