@@ -94,13 +94,18 @@ def _print_result(r) -> None:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     """Run one workload under SUIT and print the result."""
-    from repro.core.suit import SuitSystem
+    from repro.core.suit import OperatingPoint, evaluate
 
-    suit = SuitSystem.for_cpu(args.cpu, strategy_name=args.strategy,
-                              voltage_offset=args.offset,
-                              n_cores=args.cores, seed=args.seed)
-    profile = _resolve_profile(args.workload)
-    _print_result(suit.run_profile(profile))
+    point = OperatingPoint(args.cpu, _resolve_profile(args.workload).name,
+                           strategy=args.strategy,
+                           voltage_offset=args.offset, seed=args.seed,
+                           n_cores=args.cores)
+    try:
+        point.validate()
+    except ValueError as exc:
+        raise SystemExit(f"invalid operating point: {exc}")
+    [result] = evaluate([point])
+    _print_result(result)
     return 0
 
 

@@ -5,6 +5,9 @@ the operating strategies that decide between DVFS-curve switching and
 emulation (section 4.3, Listing 1), thrashing prevention, the
 event-based instruction-trace simulator of Fig 15 (section 6.2), and the
 performance/power/efficiency accounting of section 6.3.
+
+:class:`OperatingPoint` and :func:`evaluate` are the entry point for
+one question: a point in, a :class:`SimResult` out.
 """
 
 from repro.core.params import StrategyParams, DEFAULT_PARAMS_INTEL, DEFAULT_PARAMS_AMD
@@ -27,7 +30,7 @@ from repro.core.policy import AdaptiveStrategyPolicy, StrategyDecision, oracle_b
 from repro.core.tiers import CurveTier, derive_tiers, choose_tier
 from repro.core.scheduler import Task, plan_partition, plan_round_robin, evaluate_plan
 from repro.core.percore import PerCorePlan, plan_per_core_offsets, per_core_gain
-from repro.core.suit import SuitSystem
+from repro.core.suit import OperatingPoint, SuitSystem, evaluate
 
 __all__ = [
     "StrategyParams",
@@ -54,6 +57,8 @@ __all__ = [
     "emulation_estimate",
     "nosimd_estimate",
     "SuitSystem",
+    "OperatingPoint",
+    "evaluate",
     "AdaptiveStrategyPolicy",
     "StrategyDecision",
     "oracle_best",

@@ -1,11 +1,15 @@
 """Sweep evaluation: many configs over one compiled trace.
 
-Sweep experiments (fig15/fig16, the service batcher, the DSE, policy
-studies) evaluate the *same* trace once per ``(strategy,
-voltage_offset, seed)`` config.  :func:`simulate_sweep` compiles the
-trace once into a :class:`~repro.core.simulator.TraceEpisode` (the gap
-array plus a block-maximum index over it) and runs every config through
+Sweeps evaluate the *same* trace once per ``(strategy,
+voltage_offset, seed, imul_extra_cycles)`` config.
+:func:`simulate_sweep` compiles the trace once into a
+:class:`~repro.core.simulator.TraceEpisode` (the gap array plus a
+block-maximum index over it) and runs every config through
 :class:`~repro.core.simulator.TraceSimulator` on that shared episode.
+Operating points reach it through :func:`repro.core.suit.evaluate`,
+which runs one sweep per group of points sharing a trace and a
+deadline: the service worker, the DSE, the differential oracle,
+``repro simulate`` and fig15/fig16 all do.
 
 Per-config semantics are those of
 :meth:`~repro.core.suit.SuitSystem.run_profile`, which is a width-1
@@ -45,13 +49,14 @@ class SweepConfig:
         strategy: Table 6 short name ("fV", "f", "V", "e").
         voltage_offset: efficient-curve offset in volts (negative).
         seed: RNG seed for the sampled delays of this run.
-        harden_imul: apply the +1-cycle IMUL tax (simulator default).
+        imul_extra_cycles: IMUL hardening depth (see
+            :class:`~repro.core.simulator.TraceSimulator`).
     """
 
     strategy: str = "fV"
     voltage_offset: float = -0.097
     seed: int = 0
-    harden_imul: bool = True
+    imul_extra_cycles: int = 1
 
 
 def simulate_sweep(cpu: CpuModel, profile: WorkloadProfile,
@@ -64,8 +69,8 @@ def simulate_sweep(cpu: CpuModel, profile: WorkloadProfile,
     episode.
 
     The ``e`` strategy returns the closed-form emulation estimate
-    (raising for enclave workloads, and ignoring ``harden_imul`` and
-    *record_timeline*: the estimate always carries the +1-cycle
+    (raising for enclave workloads, and ignoring ``imul_extra_cycles``
+    and *record_timeline*: the estimate always carries the +1-cycle
     hardening).  Every other strategy is simulated event by event, and
     ``n_cores > 1`` on a shared-domain CPU merges the trace once for
     all configs.  *record_timeline* records each simulated config's
@@ -114,5 +119,5 @@ def simulate_sweep(cpu: CpuModel, profile: WorkloadProfile,
         results.append(TraceSimulator(
             cpu, profile, sim_trace, strategy, config.voltage_offset,
             seed=config.seed, record_timeline=record_timeline,
-            harden_imul=config.harden_imul).run())
+            imul_extra_cycles=config.imul_extra_cycles).run())
     return results

@@ -8,7 +8,6 @@ power changes are mean-package-power changes.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -34,36 +33,6 @@ def imul_latency_overhead(profile: WorkloadProfile, extra_cycles: int = 1) -> fl
         return 0.0
     exposure = min(1.0, 0.08 + 0.62 * profile.imul_chain_fraction)
     return profile.imul_density * exposure * profile.ipc * extra_cycles
-
-
-def apply_imul_tax(result: "SimResult", profile: WorkloadProfile,
-                   extra_cycles: int) -> "SimResult":
-    """*result* with the static IMUL-hardening tax of *extra_cycles* applied.
-
-    The simulator's built-in ``harden_imul`` flag bakes in the paper's
-    +1-cycle hardening; deeper pipelines (the DSE's IMUL-latency gene)
-    simulate with ``harden_imul=False`` and post-apply this tax.  The
-    arithmetic mirrors the simulator's built-in application exactly —
-    the same multiplications on duration, energy and state times — so
-    ``apply_imul_tax(sim(harden_imul=False), profile, 1)`` is bit-equal
-    to ``sim(harden_imul=True)``.
-
-    Returns:
-        A new :class:`SimResult`; ``extra_cycles == 0`` returns the
-        input unchanged.
-    """
-    if extra_cycles < 0:
-        raise ValueError("extra_cycles must be non-negative")
-    if extra_cycles == 0:
-        return result
-    tax = 1.0 + imul_latency_overhead(profile, extra_cycles=extra_cycles)
-    return dataclasses.replace(
-        result,
-        duration_s=result.duration_s * tax,
-        energy_rel=result.energy_rel * tax,
-        state_time={key: value * tax
-                    for key, value in result.state_time.items()},
-    )
 
 
 @dataclass

@@ -140,8 +140,10 @@ class TraceSimulator(CpuControl):
         voltage_offset: efficient-curve offset in volts (negative).
         seed: RNG seed for sampled delays.
         record_timeline: record (time, state) transitions for figures.
-        harden_imul: apply the +1-cycle IMUL tax (on by default: SUIT
-            hardware always ships the hardened multiplier).
+        imul_extra_cycles: IMUL hardening depth in extra pipeline
+            cycles (section 6.1).  Its latency tax scales the duration,
+            energy and state times; 1 is the paper's hardening, which
+            SUIT hardware always ships, and 0 applies no tax.
 
     The trace is compiled by :func:`compile_episode` (once: the episode
     is cached on the trace).
@@ -151,16 +153,18 @@ class TraceSimulator(CpuControl):
                  trace: FaultableTrace, strategy: OperatingStrategy,
                  voltage_offset: float, seed: int = 0,
                  record_timeline: bool = False,
-                 harden_imul: bool = True) -> None:
+                 imul_extra_cycles: int = 1) -> None:
         if voltage_offset >= 0:
             raise ValueError("voltage_offset must be negative")
+        if imul_extra_cycles < 0:
+            raise ValueError("imul_extra_cycles must be non-negative")
         self._ep = compile_episode(trace)
         self.cpu = cpu
         self.profile = profile
         self.trace = trace
         self.strategy = strategy
         self.voltage_offset = voltage_offset
-        self.harden_imul = harden_imul
+        self.imul_extra_cycles = imul_extra_cycles
         self._rng = np.random.default_rng(seed)
         # Optional sinks, None when off: one check per emission site.
         tracer = get_tracer()
@@ -540,8 +544,9 @@ class TraceSimulator(CpuControl):
     def _result(self) -> SimResult:
         duration = self._t
         energy = self._energy
-        if self.harden_imul:
-            tax = 1.0 + imul_latency_overhead(self.profile, extra_cycles=1)
+        if self.imul_extra_cycles:
+            tax = 1.0 + imul_latency_overhead(
+                self.profile, extra_cycles=self.imul_extra_cycles)
             duration *= tax
             energy *= tax
             for key in self._state_time:

@@ -1,21 +1,26 @@
-"""High-level SUIT system facade.
+"""High-level SUIT entry points: operating points and the system facade.
 
-The entry point most users want: configure a CPU, an undervolt budget
-and an operating strategy, then run workloads and read
-performance/power/efficiency results.
+An :class:`OperatingPoint` names one question (CPU, workload,
+strategy, offset, seed, core count, deadline and IMUL depth) and
+:func:`evaluate` answers a list of them, one ``simulate_sweep`` per
+group of points that share a trace and a deadline.  The service, the
+DSE, the differential oracle and ``repro simulate`` all go through it.
+:class:`SuitSystem` configures a CPU with full strategy parameters for
+experiments that need more than a point.
 
 Example:
-    >>> from repro import SuitSystem, spec_profile
-    >>> suit = SuitSystem.for_cpu("C", strategy="fV", voltage_offset=-0.097)
-    >>> result = suit.run_profile(spec_profile("557.xz"))
+    >>> from repro.core import OperatingPoint, evaluate
+    >>> [result] = evaluate([OperatingPoint("C", "557.xz", strategy="fV",
+    ...                                     voltage_offset=-0.097)])
     >>> result.efficiency_change > 0
     True
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+import math
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.core.batchsim import SweepConfig, simulate_sweep
 from repro.core.estimates import nosimd_estimate
@@ -26,8 +31,119 @@ from repro.core.strategy import OperatingStrategy, strategy_for
 from repro.hardware.cpu import CpuModel
 from repro.hardware.models import ALL_CPU_FACTORIES
 from repro.workloads.profile import WorkloadProfile
+from repro.workloads.resolve import resolve_profile
 from repro.workloads.tracecache import cached_trace
 from repro.workloads.trace import FaultableTrace
+
+#: Operating strategies, by their Table 6 short names.
+KNOWN_STRATEGIES = ("fV", "f", "V", "e")
+
+
+def _is_real(value: object) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+@dataclass(frozen=True)
+class OperatingPoint:
+    """One SUIT operating point: everything that decides an answer.
+
+    Attributes:
+        cpu: CPU short name ("A", "B", "C", "i5").
+        workload: workload name or unambiguous fragment, resolved by
+            :func:`~repro.workloads.resolve.resolve_profile`.
+        strategy: "fV", "f", "V" or "e".
+        voltage_offset: efficient-curve offset in volts (negative).
+        seed: RNG seed for trace synthesis and sampled delays.
+        n_cores: active cores sharing the workload.
+        deadline_us: the deadline ``p_dl`` in microseconds; ``None``
+            keeps the vendor's Table 7 default.
+        imul_extra_cycles: IMUL hardening depth over the unhardened
+            3-cycle multiplier (section 6.1); 1 is the paper's.  The
+            ``e`` estimate ignores it and always carries depth 1.
+    """
+
+    cpu: str
+    workload: str
+    strategy: str = "fV"
+    voltage_offset: float = -0.097
+    seed: int = 0
+    n_cores: int = 1
+    deadline_us: Optional[float] = None
+    imul_extra_cycles: int = 1
+
+    def validate(self) -> None:
+        """Raise :class:`ValueError` unless the simulator accepts this
+        point.  The workload is resolved only when evaluated."""
+        if not isinstance(self.cpu, str) or self.cpu not in ALL_CPU_FACTORIES:
+            raise ValueError(f"unknown CPU {self.cpu!r}; "
+                             f"know {sorted(ALL_CPU_FACTORIES)}")
+        if not self.workload or not isinstance(self.workload, str):
+            raise ValueError("workload must be a non-empty string")
+        if self.strategy not in KNOWN_STRATEGIES:
+            raise ValueError(f"unknown strategy {self.strategy!r}; "
+                             f"know {', '.join(KNOWN_STRATEGIES)}")
+        if not _is_real(self.voltage_offset) or self.voltage_offset >= 0:
+            raise ValueError(
+                "voltage_offset is the efficient-curve offset in volts "
+                "and must be negative and finite")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
+        if not isinstance(self.n_cores, int) or self.n_cores < 1:
+            raise ValueError("n_cores must be a positive integer")
+        cores = ALL_CPU_FACTORIES[self.cpu]().topology.n_cores
+        if self.n_cores > cores:
+            raise ValueError(f"CPU {self.cpu} has only {cores} cores")
+        if self.deadline_us is not None and (
+                not _is_real(self.deadline_us) or self.deadline_us <= 0):
+            raise ValueError("deadline_us must be positive and finite "
+                             "when set")
+        if (not isinstance(self.imul_extra_cycles, int)
+                or isinstance(self.imul_extra_cycles, bool)
+                or self.imul_extra_cycles < 0):
+            raise ValueError("imul_extra_cycles must be a non-negative "
+                             "integer")
+
+    def sweep_key(self) -> tuple:
+        """What points must share to ride one ``simulate_sweep``: the
+        trace (cpu, workload, seed, n_cores) and the deadline."""
+        return (self.cpu, self.workload, int(self.seed), int(self.n_cores),
+                None if self.deadline_us is None else float(self.deadline_us))
+
+
+def evaluate(points: Sequence[OperatingPoint]) -> List[SimResult]:
+    """Simulate operating points; results come back in input order.
+
+    Every point is validated first.  Points sharing a
+    :meth:`~OperatingPoint.sweep_key` run as one
+    :func:`~repro.core.batchsim.simulate_sweep` over their cached trace
+    and compiled episode; a point's result does not depend on its
+    group, so it equals a width-1 evaluation bit for bit.
+    """
+    points = list(points)
+    for point in points:
+        point.validate()
+    groups: Dict[tuple, List[int]] = {}
+    for i, point in enumerate(points):
+        groups.setdefault(point.sweep_key(), []).append(i)
+    results: List[Optional[SimResult]] = [None] * len(points)
+    for (cpu_name, workload, seed, n_cores, deadline_us), members \
+            in groups.items():
+        cpu = ALL_CPU_FACTORIES[cpu_name]()
+        params = default_params_for(cpu.vendor)
+        if deadline_us is not None:
+            params = replace(params, deadline_s=deadline_us * 1e-6)
+        profile = resolve_profile(workload)
+        configs = [SweepConfig(strategy=points[i].strategy,
+                               voltage_offset=float(points[i].voltage_offset),
+                               seed=seed,
+                               imul_extra_cycles=points[i].imul_extra_cycles)
+                   for i in members]
+        swept = simulate_sweep(cpu, profile, cached_trace(profile, seed),
+                               configs, params=params, n_cores=n_cores)
+        for i, result in zip(members, swept):
+            results[i] = result
+    return results  # type: ignore[return-value]
 
 
 @dataclass
@@ -78,47 +194,24 @@ class SuitSystem:
         return strategy_for(self.strategy_name, self.params)
 
     def run_profile(self, profile: WorkloadProfile,
-                    record_timeline: bool = False,
-                    harden_imul: bool = True) -> SimResult:
+                    record_timeline: bool = False) -> SimResult:
         """Synthesise the profile's trace (cached) and simulate it.
 
         A width-1 :func:`~repro.core.batchsim.simulate_sweep` of this
-        system's strategy, offset and seed.  The emulation strategy
-        uses the paper's closed-form estimate (section 6.2) rather than
-        per-event simulation, matching the evaluation methodology
-        (``harden_imul`` and ``record_timeline`` are ignored there: the
-        estimate always carries the paper's +1-cycle hardening).
-        ``harden_imul=False`` skips the built-in +1-cycle IMUL tax so
-        callers exploring other pipeline depths can post-apply their
-        own via :func:`repro.core.metrics.apply_imul_tax`.
+        system's strategy, offset and seed, with the paper's +1-cycle
+        IMUL hardening.  The emulation strategy uses the paper's
+        closed-form estimate (section 6.2) rather than per-event
+        simulation, matching the evaluation methodology
+        (``record_timeline`` is ignored there).
         """
         config = SweepConfig(strategy=self.strategy_name,
                              voltage_offset=self.voltage_offset,
-                             seed=self.seed, harden_imul=harden_imul)
+                             seed=self.seed)
         [result] = simulate_sweep(self.cpu, profile, self._trace(profile),
                                   [config], params=self.params,
                                   n_cores=self.n_cores,
                                   record_timeline=record_timeline)
         return result
-
-    def run_sweep(self, profile: WorkloadProfile,
-                  configs: Iterable[SweepConfig]) -> List[SimResult]:
-        """Evaluate many sweep configs over this profile's trace.
-
-        The trace is synthesised (or served from cache) once and
-        compiled once; every config runs on the shared episode
-        (:mod:`repro.core.batchsim`).  :meth:`run_profile` is the
-        width-1 case: a config with this system's strategy, offset and
-        ``seed == self.seed`` reproduces ``run_profile(profile)``
-        exactly.
-
-        Note the config seeds only steer the *simulation* RNG; trace
-        synthesis always uses this system's seed, as in
-        :meth:`run_profile`.
-        """
-        return simulate_sweep(self.cpu, profile, self._trace(profile),
-                              list(configs), params=self.params,
-                              n_cores=self.n_cores)
 
     def run_profile_nosimd(self, profile: WorkloadProfile) -> SimResult:
         """The benchmark compiled without SIMD under this configuration."""

@@ -2,11 +2,11 @@
 
 One generation of genomes becomes a handful of ``simulate_sweep``
 calls: genomes canonicalize to :class:`~repro.dse.objectives.SimJob`
-identities, unique jobs group by deadline (one
-:class:`~repro.core.params.StrategyParams` per sweep call) and each
-group runs on the shared compiled trace episode as one
-:func:`~repro.core.batchsim.simulate_sweep` call — never one
-simulation per genome.  Jobs
+identities, and the unique jobs' operating points
+(:meth:`SimJob.point`) go to :func:`~repro.core.suit.evaluate`, which
+runs one sweep per deadline on the shared compiled trace episode —
+never one simulation per genome.  The IMUL-latency gene is simulated
+as a hardening depth, with no tax applied afterwards.  Jobs
 seen in an earlier generation are memo hits; an optional on-disk
 :class:`~repro.runtime.cache.ResultCache` extends the memo across
 processes and searches, keyed by
@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
+from repro.core.suit import evaluate
 from repro.dse.objectives import (SimJob, objective_vector,
                                   security_headroom_mv, violation_mv)
 from repro.dse.space import DseSpec, Genome
@@ -61,52 +61,13 @@ def _sim_payload(result, path: str) -> dict:
 
 
 def evaluate_job_group(spec: DseSpec, jobs: Sequence[SimJob]) -> Dict[str, dict]:
-    """Simulate one same-deadline job group through ``simulate_sweep``.
-
-    All jobs must share ``deadline_us`` (one parameter set per sweep
-    call).  Jobs become :class:`~repro.core.batchsim.SweepConfig`
-    entries over the shared trace — ``harden_imul=False`` plus an
-    explicit post-applied tax, so the IMUL-latency gene is honoured for
-    any depth while ``extra_cycles == 1`` stays bit-equal to the
-    simulator's built-in hardening.  Returns payloads keyed by job key.
-    """
-    from repro.core.batchsim import SweepConfig, simulate_sweep
-    from repro.core.metrics import apply_imul_tax
-    from repro.core.params import default_params_for
-    from repro.workloads import resolve_profile
-    from repro.workloads.tracecache import cached_trace
-
-    if not jobs:
-        return {}
-    deadlines = {job.deadline_us for job in jobs}
-    if len(deadlines) != 1:
-        raise ValueError(f"a job group shares one deadline; got "
-                         f"{sorted(deadlines)}")
-    cpu = ALL_CPU_FACTORIES[spec.cpu]()
-    profile = resolve_profile(spec.workload)
-    trace = cached_trace(profile, spec.seed)
-    params = replace(default_params_for(cpu.vendor),
-                     deadline_s=jobs[0].deadline_us * 1e-6)
-    configs = [SweepConfig(strategy=job.strategy,
-                           voltage_offset=job.voltage_offset,
-                           seed=spec.seed, harden_imul=False)
-               for job in jobs]
-    results = simulate_sweep(cpu, profile, trace, configs,
-                             params=params, n_cores=spec.n_cores)
-    payloads: Dict[str, dict] = {}
-    for job, result in zip(jobs, results):
-        if job.strategy == "e":
-            # The closed-form estimate already carries the paper's
-            # +1-cycle hardening (and canonical 'e' genomes pin the
-            # latency gene to exactly that).
-            path = "estimate"
-        else:
-            path = "vector"
-            if job.imul_extra_cycles > 0:
-                result = apply_imul_tax(result, profile,
-                                        job.imul_extra_cycles)
-        payloads[job.key()] = _sim_payload(result, path)
-    return payloads
+    """Simulate *jobs* under the search's trace seed in one
+    :func:`~repro.core.suit.evaluate` call (one sweep per deadline).
+    Returns payloads keyed by job key."""
+    results = evaluate([job.point(spec.seed) for job in jobs])
+    return {job.key(): _sim_payload(
+                result, "estimate" if job.strategy == "e" else "vector")
+            for job, result in zip(jobs, results)}
 
 
 def _pool_eval_group(spec_json: str, jobs_json: str) -> Dict[str, dict]:
@@ -223,8 +184,8 @@ class LocalEvalBackend:
                 for future in futures:
                     self.sims.update(future.result())
         else:
-            for group in groups:
-                self.sims.update(evaluate_job_group(self.spec, group))
+            self.sims.update(evaluate_job_group(
+                self.spec, [job for group in groups for job in group]))
         if self.cache is not None:
             for group in groups:
                 for job in group:

@@ -26,6 +26,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
+from repro.core.suit import OperatingPoint
 from repro.dse.space import (CORNER_SIGMA_SHIFTS, DseSpec, Genome,
                              IMUL_BASE_LATENCY)
 from repro.faults.model import FaultModel
@@ -153,6 +154,15 @@ class SimJob:
     def voltage_offset(self) -> float:
         """The offset in volts, as the simulator expects it."""
         return self.offset_mv / 1000.0
+
+    def point(self, seed: int) -> OperatingPoint:
+        """The operating point this job simulates, under trace seed
+        *seed* (the search's)."""
+        return OperatingPoint(
+            cpu=self.cpu, workload=self.workload, strategy=self.strategy,
+            voltage_offset=self.voltage_offset, seed=seed,
+            n_cores=self.n_cores, deadline_us=self.deadline_us,
+            imul_extra_cycles=self.imul_extra_cycles)
 
     def to_json_dict(self) -> dict:
         """Plain-JSON form (round-trips through :meth:`from_json_dict`)."""

@@ -75,7 +75,7 @@ def run(seed: int = 0, fast: bool = False) -> ExperimentResult:
     trapped_trace = _imul_trap_trace(n, ipc, rng)
     trapped = TraceSimulator(
         cpu, profile, trapped_trace, strategy_for("fV", DEFAULT_PARAMS_INTEL),
-        -0.097, seed=seed, harden_imul=False).run()
+        -0.097, seed=seed, imul_extra_cycles=0).run()
 
     result.lines.append(
         f"harden: eff {hardened.efficiency_change * 100:+.2f}% "

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.core.batchsim import SweepConfig
 from repro.core.metrics import SimResult, geomean_change
-from repro.core.suit import SuitSystem
+from repro.core.suit import OperatingPoint, evaluate
 from repro.experiments.common import ExperimentResult
 from repro.workloads.network import NGINX_PROFILE
 from repro.workloads.spec import SPEC_PROFILES
@@ -47,16 +46,13 @@ def run(seed: int = 0, fast: bool = False) -> ExperimentResult:
     names = FAST_SPEC_SET if fast else SPEC_SET
     profiles = [SPEC_PROFILES[n] for n in names] + [NGINX_PROFILE]
 
-    # One vectorized sweep per profile: the trace is compiled once and
-    # every strategy replays the shared episode (bit-identical to the
-    # per-strategy run_profile loop this replaces — the goldens hold).
-    suit = SuitSystem.for_cpu("C", voltage_offset=OFFSET, seed=seed)
-    configs = [SweepConfig(strategy=s, voltage_offset=OFFSET, seed=seed)
-               for s in STRATEGIES]
-    per_strategy: Dict[str, List[SimResult]] = {s: [] for s in STRATEGIES}
-    for p in profiles:
-        for strategy, sim in zip(STRATEGIES, suit.run_sweep(p, configs)):
-            per_strategy[strategy].append(sim)
+    # One sweep per profile: the trace is compiled once and every
+    # strategy replays the shared episode.
+    results = evaluate([OperatingPoint("C", p.name, strategy=s,
+                                       voltage_offset=OFFSET, seed=seed)
+                        for p in profiles for s in STRATEGIES])
+    per_strategy: Dict[str, List[SimResult]] = {
+        s: results[k::len(STRATEGIES)] for k, s in enumerate(STRATEGIES)}
 
     result.lines.append(
         "strategy   SPECperf   SPECeff    nginx.perf nginx.eff  traps")

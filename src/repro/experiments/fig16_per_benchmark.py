@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.core.batchsim import SweepConfig
 from repro.core.metrics import SimResult
-from repro.core.suit import SuitSystem
+from repro.core.suit import OperatingPoint, evaluate
 from repro.experiments.common import ExperimentResult
 from repro.workloads.network import NGINX_PROFILE, VLC_PROFILE
 from repro.workloads.spec import all_spec_profiles
@@ -36,17 +35,14 @@ def run(seed: int = 0, fast: bool = False) -> ExperimentResult:
         keep = set(PAPER_ANCHORS) | {"525.x264", "521.wrf", "nginx"}
         profiles = [p for p in profiles if p.name in keep]
 
-    # One vectorized sweep per profile covers both offsets over the
-    # shared compiled episode (bit-identical to the per-offset
-    # run_profile loops this replaces — the goldens hold).
+    # One sweep per profile covers both offsets over the shared
+    # compiled episode.
     offsets = (-0.070, -0.097)
-    suit = SuitSystem.for_cpu("C", strategy_name="fV", seed=seed)
-    configs = [SweepConfig(strategy="fV", voltage_offset=off, seed=seed)
-               for off in offsets]
-    per_offset: Dict[float, List[SimResult]] = {off: [] for off in offsets}
-    for p in profiles:
-        for offset, sim in zip(offsets, suit.run_sweep(p, configs)):
-            per_offset[offset].append(sim)
+    sims = evaluate([OperatingPoint("C", p.name, strategy="fV",
+                                    voltage_offset=off, seed=seed)
+                     for p in profiles for off in offsets])
+    per_offset: Dict[float, List[SimResult]] = {
+        off: sims[k::len(offsets)] for k, off in enumerate(offsets)}
 
     results = sorted(per_offset[-0.097], key=lambda r: -r.efficiency_change)
     result.lines.append("workload          perf(-97)   eff(-97)   occupancy")

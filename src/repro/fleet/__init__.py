@@ -7,8 +7,8 @@ scale horizontally too.  This package promotes the single asyncio
 
 * :class:`~repro.fleet.ring.ConsistentHashRing` — deterministic
   placement of canonical requests on nodes, keyed on
-  ``(cpu, workload)`` so each node's per-process ``SuitSystem`` /
-  trace / L1 caches stay hot; removing one of N nodes remaps only
+  ``(cpu, workload)`` so each node's per-process trace caches stay
+  hot; removing one of N nodes remaps only
   ~1/N of the key space.
 * :class:`~repro.fleet.node.NodeSupervisor` — spawns and drains
   worker-service nodes, either in-process (tests, smoke) or as real

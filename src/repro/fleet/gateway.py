@@ -7,8 +7,8 @@ Behind the socket:
 
 * **Routing** — a :class:`~repro.fleet.ring.ConsistentHashRing` on
   :func:`~repro.fleet.ring.route_key` ``(cpu, workload)`` sends equal
-  questions to the same node, keeping that node's ``SuitSystem`` /
-  trace / result caches hot and its in-flight dedup effective
+  questions to the same node, keeping that node's trace and result
+  caches hot and its in-flight dedup effective
   fleet-wide.
 * **Forwarding** — per-node pools of pipelined
   :class:`~repro.service.client.ServiceClient` connections; one

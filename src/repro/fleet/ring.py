@@ -1,9 +1,8 @@
 """Consistent-hash placement of canonical requests on fleet nodes.
 
 Why consistent hashing (and not round-robin): a node's whole speed
-advantage is its warm state — the per-process ``SuitSystem`` cache in
-its pool workers, the synthesized-trace L1/L2 caches, the on-disk
-result cache.  Routing on a stable hash of ``(cpu, workload)`` sends
+advantage is its warm state — the synthesized-trace L1/L2 caches of
+its pool workers and the on-disk result cache.  Routing on a stable hash of ``(cpu, workload)`` sends
 the same question to the same node every time, so that state keeps
 paying; and when a node joins or dies, only ~1/N of the key space
 moves (round-robin or modulo hashing would reshuffle nearly all of

@@ -1,11 +1,11 @@
 """The service request/response model.
 
-A :class:`SimRequest` names one what-if simulation — chip, workload,
-operating strategy, undervolt offset, seed — plus scheduling hints
-(priority, deadline).  Its *canonical identity* deliberately excludes
-the scheduling hints: two clients asking the same question at different
-priorities still share one simulation (in-flight dedup) and one cache
-entry.
+A :class:`SimRequest` names one what-if simulation — the wire form of
+an :class:`~repro.core.suit.OperatingPoint` (:attr:`SimRequest.point`)
+— plus scheduling hints (priority, deadline).  Its *canonical identity*
+deliberately excludes the scheduling hints: two clients asking the same
+question at different priorities still share one simulation (in-flight
+dedup) and one cache entry.
 
 A :class:`SimResponse` carries the outcome: the serialized
 :class:`~repro.core.metrics.SimResult` payload on success, or a
@@ -24,14 +24,13 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.core.suit import OperatingPoint
+
 #: Scheduling priorities (lower sorts first).  Interactive requests
 #: bypass the micro-batcher's accumulation window entirely.
 PRIORITY_INTERACTIVE = 0
 PRIORITY_NORMAL = 5
 PRIORITY_BULK = 10
-
-#: Operating strategies the service accepts (matches the CLI).
-KNOWN_STRATEGIES = ("fV", "f", "V", "e")
 
 #: Cache-key domain tag; bump when the canonical request layout changes.
 REQUEST_SCHEMA_VERSION = 1
@@ -57,7 +56,7 @@ class SimRequest:
             "nginx"); resolved by :func:`repro.workloads.resolve_profile`
             in the worker.
         strategy: operating strategy ("fV", "f", "V", "e").
-        voltage_offset: efficient-curve offset in volts (<= 0).
+        voltage_offset: efficient-curve offset in volts (< 0).
         seed: RNG seed for trace synthesis and sampled delays.
         n_cores: active cores sharing the workload.
         deadline_us: SUIT deadline parameter ``p_dl`` in microseconds;
@@ -66,8 +65,8 @@ class SimRequest:
             different simulation) but omitted when ``None`` so legacy
             requests keep their exact cache keys and wire frames.
         imul_extra_cycles: extra IMUL pipeline cycles over the
-            unhardened 3-cycle baseline; ``None`` uses the simulator's
-            built-in +1-cycle hardening, ``0`` disables hardening.
+            unhardened 3-cycle baseline; ``None`` means the paper's
+            +1-cycle hardening, ``0`` disables hardening.
             Identity-bearing when set, omitted when ``None`` (same
             compatibility rule as ``deadline_us``).  Ignored by the
             ``e`` strategy, whose closed-form estimate always carries
@@ -97,25 +96,29 @@ class SimRequest:
     deadline_us: Optional[float] = None
     imul_extra_cycles: Optional[int] = None
 
+    @property
+    def point(self) -> OperatingPoint:
+        """The operating point this request asks about.  An unset
+        ``imul_extra_cycles`` is the paper's depth, 1."""
+        return OperatingPoint(
+            cpu=self.cpu, workload=self.workload, strategy=self.strategy,
+            voltage_offset=self.voltage_offset, seed=self.seed,
+            n_cores=self.n_cores, deadline_us=self.deadline_us,
+            imul_extra_cycles=(1 if self.imul_extra_cycles is None
+                               else self.imul_extra_cycles))
+
     def validate(self) -> None:
-        """Check the statically checkable fields; raises :class:`InvalidRequestError`."""
-        if not self.cpu or not isinstance(self.cpu, str):
-            raise InvalidRequestError("cpu must be a non-empty string")
-        if not self.workload or not isinstance(self.workload, str):
-            raise InvalidRequestError("workload must be a non-empty string")
-        if self.strategy not in KNOWN_STRATEGIES:
-            raise InvalidRequestError(
-                f"unknown strategy {self.strategy!r}; "
-                f"know {', '.join(KNOWN_STRATEGIES)}")
-        if not isinstance(self.voltage_offset, (int, float)) \
-                or self.voltage_offset > 0:
-            raise InvalidRequestError(
-                "voltage_offset is the efficient-curve offset in volts "
-                "and must be <= 0")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise InvalidRequestError("seed must be a non-negative integer")
-        if not isinstance(self.n_cores, int) or self.n_cores < 1:
-            raise InvalidRequestError("n_cores must be a positive integer")
+        """Check every field; raises :class:`InvalidRequestError`.
+
+        The point is checked by
+        :meth:`~repro.core.suit.OperatingPoint.validate`, the
+        simulator's own rules, so an offset, core count or CPU the
+        simulator would reject never reaches a worker.
+        """
+        try:
+            self.point.validate()
+        except ValueError as exc:
+            raise InvalidRequestError(str(exc)) from None
         if not isinstance(self.priority, int):
             raise InvalidRequestError("priority must be an integer")
         if self.deadline_s is not None and (
@@ -128,17 +131,6 @@ class SimRequest:
                                       or not value):
                 raise InvalidRequestError(
                     f"{name} must be a non-empty string when set")
-        if self.deadline_us is not None and (
-                not isinstance(self.deadline_us, (int, float))
-                or isinstance(self.deadline_us, bool)
-                or self.deadline_us <= 0):
-            raise InvalidRequestError("deadline_us must be positive when set")
-        if self.imul_extra_cycles is not None and (
-                not isinstance(self.imul_extra_cycles, int)
-                or isinstance(self.imul_extra_cycles, bool)
-                or self.imul_extra_cycles < 0):
-            raise InvalidRequestError(
-                "imul_extra_cycles must be a non-negative integer when set")
 
     @property
     def shard_key(self) -> str:

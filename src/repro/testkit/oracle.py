@@ -12,9 +12,10 @@ The :class:`DifferentialOracle` checks exactly that.  It takes one
 canonical request set and replays it through every execution channel
 the stack offers:
 
-* **reference** — ``SuitSystem.run_profile`` per request.
-* **sweep**  — the grouped ``run_sweep`` calls of
-  :func:`repro.service.workers._simulate_group`.
+* **reference** — a width-1 :func:`~repro.core.suit.evaluate` per
+  request, of its :attr:`~repro.service.request.SimRequest.point`.
+* **sweep**  — one ``evaluate`` over the whole set, so requests sharing
+  a trace and a deadline ride one sweep.
 * **batch**  — :func:`repro.service.workers.execute_batch`, the exact
   code pool workers run (fault hooks included).
 * **engine** — two independent :class:`ExperimentEngine` runs compared
@@ -37,8 +38,10 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
+from repro.core.suit import evaluate
+from repro.runtime.serialization import jsonify
 from repro.service.request import STATUS_OK, SimRequest
 from repro.testkit import chaos
 
@@ -186,53 +189,24 @@ class DifferentialOracle:
     # -- channels -------------------------------------------------------
 
     def reference(self) -> List[dict]:
-        """Scalar reference payloads, one per request (chaos-free)."""
-        if self._reference is not None:
-            return self._reference
-        from repro.runtime.serialization import jsonify
-        from repro.workloads import resolve_profile
-
-        payloads = []
-        with _chaos_suspended():
-            for request in self.requests:
-                system = _fresh_system(request)
-                result = system.run_profile(
-                    resolve_profile(request.workload))
-                payloads.append(jsonify(result))
-        self._reference = payloads
-        return payloads
+        """Reference payloads: a width-1 ``evaluate`` per request
+        (chaos-free)."""
+        if self._reference is None:
+            with _chaos_suspended():
+                self._reference = [jsonify(evaluate([request.point])[0])
+                                   for request in self.requests]
+        return self._reference
 
     def check_sweep(self) -> ChannelReport:
-        """Grouped ``run_sweep`` calls vs the per-request reference.
-
-        Mirrors the grouping of
-        :func:`repro.service.workers.execute_batch`: requests sharing
-        ``(cpu, workload, seed, n_cores)`` ride one compiled episode.
-        """
-        from repro.core.batchsim import SweepConfig
-        from repro.runtime.serialization import jsonify
-        from repro.workloads import resolve_profile
-
+        """One ``evaluate`` over the whole set vs the reference: the
+        grouping :func:`repro.service.workers.execute_batch` uses, with
+        requests sharing a trace and a deadline in one sweep."""
         expected = self.reference()
         report = ChannelReport("sweep")
-        groups: Dict[tuple, List[int]] = {}
-        for i, request in enumerate(self.requests):
-            key = (request.cpu, request.workload, request.seed,
-                   request.n_cores)
-            groups.setdefault(key, []).append(i)
         with _chaos_suspended():
-            for members in groups.values():
-                first = self.requests[members[0]]
-                system = _fresh_system(first)
-                profile = resolve_profile(first.workload)
-                configs = [SweepConfig(
-                    strategy=self.requests[i].strategy,
-                    voltage_offset=self.requests[i].voltage_offset,
-                    seed=self.requests[i].seed) for i in members]
-                for i, result in zip(members,
-                                     system.run_sweep(profile, configs)):
-                    report.record(self.requests[i], expected[i],
-                                  jsonify(result))
+            results = evaluate([request.point for request in self.requests])
+        for request, want, result in zip(self.requests, expected, results):
+            report.record(request, want, jsonify(result))
         return report
 
     def check_batch(self) -> ChannelReport:
@@ -294,12 +268,3 @@ class DifferentialOracle:
             channels.append(self.check_engine())
         return OracleReport(channels=channels)
 
-
-def _fresh_system(request: SimRequest):
-    """A newly configured SuitSystem for *request* (no shared state)."""
-    from repro.core.suit import SuitSystem
-
-    return SuitSystem.for_cpu(
-        request.cpu, strategy_name=request.strategy,
-        voltage_offset=request.voltage_offset,
-        n_cores=request.n_cores, seed=request.seed)

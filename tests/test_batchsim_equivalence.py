@@ -8,7 +8,7 @@ case.  These tests pin, with strict ``==`` comparisons (no approx):
   dense bursts), strategies, deadlines, seeds, offsets and hardening, a
   run on the compiled episode returns exactly what a run whose
   bulk-consume stops come from a plain gap scan returns;
-* synthesized workload traces through :meth:`SuitSystem.run_sweep` vs
+* synthesized workload traces through :func:`simulate_sweep` vs
   :meth:`SuitSystem.run_profile`;
 * the sweep API contract: config-order results, the closed-form ``e``
   estimate, enclave rejection, core-count validation, and tracing that
@@ -103,7 +103,7 @@ def _indexed_and_scanned(cpu, trace, strategy, offset, seed, harden=True):
         trace._episode = episode
         results.append(TraceSimulator(cpu, _PROFILE, trace, strategy,
                                       offset, seed=seed,
-                                      harden_imul=harden).run())
+                                      imul_extra_cycles=int(harden)).run())
     return results
 
 
@@ -169,8 +169,9 @@ class TestSweepSemantics:
                                   voltage_offset=-0.097, seed=0)
         suit.prime_trace(_GEN_PROFILE, gen_trace)
         reference = suit.run_profile(_GEN_PROFILE)
-        [swept] = suit.run_sweep(_GEN_PROFILE, [
-            SweepConfig(strategy=strategy, voltage_offset=-0.097, seed=0)])
+        [swept] = simulate_sweep(suit.cpu, _GEN_PROFILE, gen_trace, [
+            SweepConfig(strategy=strategy, voltage_offset=-0.097, seed=0)],
+            params=suit.params, n_cores=suit.n_cores)
         assert_identical(swept, reference)
 
     def test_results_come_back_in_config_order(self, gen_trace):
@@ -237,7 +238,9 @@ class TestSweepSemantics:
                                   n_cores=2)
         suit.prime_trace(_GEN_PROFILE, gen_trace)
         reference = suit.run_profile(_GEN_PROFILE)
-        [swept] = suit.run_sweep(_GEN_PROFILE, [SweepConfig()])
+        [swept] = simulate_sweep(suit.cpu, _GEN_PROFILE, gen_trace,
+                                 [SweepConfig()], params=suit.params,
+                                 n_cores=suit.n_cores)
         assert_identical(swept, reference)
 
     def test_episode_is_compiled_once_and_cached(self, gen_trace):

@@ -64,6 +64,16 @@ class TestSimulate:
         assert main(["simulate", "--workload", "557.xz",
                      "--strategy", "e"]) == 0
 
+    @pytest.mark.parametrize("flags", [["--offset", "0"],
+                                       ["--strategy", "e", "--offset", "0"],
+                                       ["--cores", "9"]])
+    def test_invalid_point_exits_with_one_line(self, flags):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--workload", "557.xz", *flags])
+        message = str(excinfo.value)
+        assert message.startswith("invalid operating point: ")
+        assert "\n" not in message
+
 
 class TestTrace:
     def test_gen_info_roundtrip(self, tmp_path, capsys):

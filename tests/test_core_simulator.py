@@ -35,7 +35,7 @@ def _run(cpu, trace, strategy_name="fV", offset=-0.097, params=None,
                                              trace.ipc),
         trace=trace, strategy=strategy_for(strategy_name, params),
         voltage_offset=offset, seed=0, record_timeline=timeline,
-        harden_imul=harden)
+        imul_extra_cycles=int(harden))
     return sim.run()
 
 

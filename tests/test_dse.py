@@ -191,24 +191,31 @@ class TestImulTaxEquivalence:
         builtin = simulate_sweep(
             cpu, profile, trace,
             [SweepConfig(strategy="fV", voltage_offset=-0.097,
-                         seed=spec.seed, harden_imul=True)])[0]
+                         seed=spec.seed, imul_extra_cycles=1)])[0]
         genome = Genome(deadline_us=30.0, strategy="fV", offset_mv=-97.0,
                         corner="typical", imul_latency=4)
         job = SimJob.from_genome(spec, genome)
         payload = evaluate_job_group(spec, [job])[job.key()]
-        # The post-applied +1-cycle tax is bit-equal to the simulator's
-        # built-in hardened-IMUL path (30 us is the default deadline).
+        # The genome's +1-cycle depth is the simulator's default
+        # hardening (30 us is the default deadline).
         assert payload["duration_s"] == builtin.duration_s
         assert payload["energy_rel"] == builtin.energy_rel
 
-    def test_job_groups_must_share_a_deadline(self):
+    def test_mixed_deadlines_run_one_sweep_per_deadline(self):
         spec = canned_search("nginx_quick")
-        jobs = [SimJob(cpu="C", workload="nginx", strategy="fV",
+        jobs = [SimJob(cpu="C", workload="nginx", strategy=strategy,
                        offset_mv=-97.0, deadline_us=d,
                        imul_extra_cycles=0, n_cores=1)
-                for d in (20.0, 50.0)]
-        with pytest.raises(ValueError):
-            evaluate_job_group(spec, jobs)
+                for d in (20.0, 50.0) for strategy in ("fV", "f")]
+        per_deadline = {}
+        for d in (20.0, 50.0):
+            per_deadline.update(evaluate_job_group(
+                spec, [job for job in jobs if job.deadline_us == d]))
+        before = TestLocalEvalBackend._sweep_calls()
+        mixed = evaluate_job_group(spec, jobs)
+        assert mixed == per_deadline
+        calls, configs = TestLocalEvalBackend._sweep_calls()
+        assert (calls - before[0], configs - before[1]) == (2, 4)
 
 
 class TestLocalEvalBackend:

@@ -21,8 +21,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.suit import KNOWN_STRATEGIES
+from repro.hardware.models import ALL_CPU_FACTORIES
 from repro.service.request import (
-    KNOWN_STRATEGIES,
     STATUS_OK,
     InvalidRequestError,
     SimRequest,
@@ -38,18 +39,24 @@ FUZZ = settings(max_examples=60, deadline=None,
 
 _NAME_ALPHABET = string.ascii_letters + string.digits + "._-"
 
-valid_requests = st.builds(
-    SimRequest,
-    cpu=st.sampled_from(("A", "B", "C", "i5")),
-    workload=st.text(alphabet=_NAME_ALPHABET, min_size=1, max_size=16),
-    strategy=st.sampled_from(KNOWN_STRATEGIES),
-    voltage_offset=st.floats(min_value=-0.3, max_value=0.0),
-    seed=st.integers(min_value=0, max_value=2**31),
-    n_cores=st.integers(min_value=1, max_value=8),
-    priority=st.integers(min_value=-10, max_value=20),
-    deadline_s=st.one_of(st.none(),
-                         st.floats(min_value=1e-3, max_value=1e3)),
-)
+#: Core count per CPU: a valid request uses at most that many.
+_CORES = {name: factory().topology.n_cores
+          for name, factory in ALL_CPU_FACTORIES.items()}
+
+valid_requests = st.sampled_from(sorted(_CORES)).flatmap(
+    lambda cpu: st.builds(
+        SimRequest,
+        cpu=st.just(cpu),
+        workload=st.text(alphabet=_NAME_ALPHABET, min_size=1, max_size=16),
+        strategy=st.sampled_from(KNOWN_STRATEGIES),
+        voltage_offset=st.floats(min_value=-0.3, max_value=0.0,
+                                 exclude_max=True),
+        seed=st.integers(min_value=0, max_value=2**31),
+        n_cores=st.integers(min_value=1, max_value=_CORES[cpu]),
+        priority=st.integers(min_value=-10, max_value=20),
+        deadline_s=st.one_of(st.none(),
+                             st.floats(min_value=1e-3, max_value=1e3)),
+    ))
 
 
 class TestRequestProperties:
@@ -107,6 +114,8 @@ class TestRequestProperties:
         ("voltage_offset", "deep"), ("seed", -1), ("seed", 1.5),
         ("n_cores", 0), ("n_cores", -2), ("priority", "high"),
         ("deadline_s", 0.0), ("deadline_s", -1.0),
+        ("voltage_offset", 0.0), ("voltage_offset", float("nan")),
+        ("voltage_offset", float("-inf")), ("cpu", "Z"), ("n_cores", 9),
     ]))
     @FUZZ
     def test_single_field_corruption_rejected(self, request, corruption):

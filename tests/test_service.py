@@ -83,6 +83,13 @@ class TestSimRequest:
         {"n_cores": 0},
         {"deadline_s": 0.0},
         {"deadline_s": -2.0},
+        # What the simulator rejects is rejected here too.
+        {"voltage_offset": 0.0},
+        {"strategy": "e", "voltage_offset": 0.0},
+        {"voltage_offset": float("nan")},
+        {"voltage_offset": float("-inf")},
+        {"cpu": "Z"},
+        {"n_cores": 9},
     ])
     def test_validate_rejects(self, kwargs):
         base = {"cpu": "C", "workload": "557.xz"}

@@ -70,15 +70,40 @@ class TestExecuteBatchGrouping:
         assert "vectorized" not in outcomes[0]
         assert outcomes[1]["vectorized"] is True
 
-    def test_group_failure_falls_back_to_isolation(self):
-        # voltage_offset == 0 passes request validation but the sweep
-        # kernel rejects it, poisoning the group; the fallback must
-        # answer the good sibling and fail only the bad request.
-        outcomes = execute_batch([_req(), _req(voltage_offset=0.0)])
+    def test_group_failure_falls_back_to_isolation(self, monkeypatch):
+        # A sweep that fails on more than one config poisons the group
+        # of the first and third requests; the fallback must answer
+        # them one by one and fail only the bad (0 V) request, which
+        # runs alone.
+        import repro.core.suit as suit
+
+        real_sweep = suit.simulate_sweep
+
+        def poisoned(cpu, profile, trace, configs, **kwargs):
+            if len(configs) > 1:
+                raise RuntimeError("poisoned group")
+            return real_sweep(cpu, profile, trace, configs, **kwargs)
+
+        monkeypatch.setattr(suit, "simulate_sweep", poisoned)
+        outcomes = execute_batch([_req(), _req(voltage_offset=0.0),
+                                  _req(voltage_offset=-0.08)])
         assert outcomes[0]["status"] == "ok"
         assert "vectorized" not in outcomes[0]
         assert outcomes[1]["status"] == "failed"
         assert outcomes[1]["error"]
+        assert outcomes[2]["status"] == "ok"
+        assert "vectorized" not in outcomes[2]
+
+    def test_invalid_request_fails_alone(self):
+        # A 0 V request is not a point the simulator accepts: it takes
+        # the per-request path and fails there, while its sibling is
+        # still answered by a sweep.
+        outcomes = execute_batch([_req(), _req(voltage_offset=0.0)])
+        assert outcomes[0]["status"] == "ok"
+        assert outcomes[0]["vectorized"] is True
+        assert outcomes[0]["group_width"] == 1
+        assert outcomes[1]["status"] == "failed"
+        assert "voltage_offset" in outcomes[1]["error"]
 
     def test_malformed_request_does_not_poison_batch(self):
         outcomes = execute_batch([

@@ -32,7 +32,7 @@ def _sim(cpu, trace, strategy=None, params=None):
     return TraceSimulator(
         cpu, _profile(), trace,
         strategy or strategy_for("fV", params or DEFAULT_PARAMS_INTEL),
-        -0.097, seed=0, harden_imul=False)
+        -0.097, seed=0, imul_extra_cycles=0)
 
 
 class TestBoundaryEvents:

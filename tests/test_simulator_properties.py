@@ -52,7 +52,7 @@ def test_accounting_invariants(events, strategy_name, deadline):
     params = StrategyParams(deadline, 450e-6, 3, 14.0)
     sim = TraceSimulator(_CPU, _PROFILE, _make_trace(events),
                          strategy_for(strategy_name, params), -0.097,
-                         seed=1, harden_imul=False)
+                         seed=1, imul_extra_cycles=0)
     result = sim.run()
 
     # 1. Time closes: states + stall == duration.
@@ -78,7 +78,7 @@ def test_switching_strategies_fire_timer_per_conservative_visit(events):
     params = StrategyParams(30e-6, 450e-6, 3, 14.0)
     sim = TraceSimulator(_CPU, _PROFILE, _make_trace(events),
                          strategy_for("fV", params), -0.097, seed=1,
-                         harden_imul=False)
+                         imul_extra_cycles=0)
     result = sim.run()
     # Each exception arms the deadline; the timer must eventually fire
     # once per trap (no lost returns), except a trailing episode that
@@ -93,7 +93,7 @@ def test_determinism(events, seed):
     runs = [
         TraceSimulator(_CPU, _PROFILE, _make_trace(events),
                        strategy_for("fV", params), -0.097, seed=seed,
-                       harden_imul=False).run()
+                       imul_extra_cycles=0).run()
         for _ in range(2)
     ]
     assert runs[0].duration_s == runs[1].duration_s
@@ -109,7 +109,7 @@ def test_emulation_strategy_consumes_all_events(events):
     trace = _make_trace(events)
     sim = TraceSimulator(_CPU, _PROFILE, trace,
                          strategy_for("e", params), -0.097, seed=1,
-                         harden_imul=False)
+                         imul_extra_cycles=0)
     result = sim.run()
     assert result.n_exceptions == trace.n_events
     assert result.n_switches == 0
@@ -122,8 +122,8 @@ def test_deeper_undervolt_never_increases_power(offset):
     params = StrategyParams(30e-6, 450e-6, 3, 14.0)
     shallow = TraceSimulator(_CPU, _PROFILE, trace,
                              strategy_for("fV", params), -0.02, seed=1,
-                             harden_imul=False).run()
+                             imul_extra_cycles=0).run()
     deep = TraceSimulator(_CPU, _PROFILE, trace,
                           strategy_for("fV", params), offset, seed=1,
-                          harden_imul=False).run()
+                          imul_extra_cycles=0).run()
     assert deep.power_ratio <= shallow.power_ratio + 1e-9

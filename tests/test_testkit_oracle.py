@@ -85,6 +85,16 @@ class TestCleanChannels:
             assert channel.checked == 6
             assert channel.ok == 6
 
+    def test_reference_honours_deadline_and_imul_depth(self):
+        plain = SimRequest("C", "557.xz")
+        oracle = DifferentialOracle([
+            SimRequest("C", "557.xz", deadline_us=5.0),
+            SimRequest("C", "557.xz", imul_extra_cycles=3),
+            plain])
+        assert oracle.run_local(engine=False).wrong_total == 0
+        short, deep, default = oracle.reference()
+        assert short != default and deep != default
+
     def test_engine_channel_self_consistent(self):
         oracle = DifferentialOracle(
             DifferentialOracle.canonical_requests(n=2))

@@ -229,7 +229,7 @@ class TestLayeredCache:
     def test_shared_trace_simulates_identically(self, no_env):
         """A simulation over the attached read-only view must equal one
         over the private trace (the arrays are bit-identical)."""
-        from repro.core.batchsim import SweepConfig
+        from repro.core.batchsim import SweepConfig, simulate_sweep
         from repro.core.suit import SuitSystem
 
         clear_trace_cache()
@@ -249,7 +249,10 @@ class TestLayeredCache:
             assert result.energy_rel == reference.energy_rel
             assert result.state_time == reference.state_time
             assert result.n_exceptions == reference.n_exceptions
-            [swept] = shared_suit.run_sweep(_PROFILE, [SweepConfig()])
+            [swept] = simulate_sweep(
+                shared_suit.cpu, _PROFILE, cached_trace(_PROFILE, seed=0),
+                [SweepConfig()], params=shared_suit.params,
+                n_cores=shared_suit.n_cores)
             assert swept.duration_s == reference.duration_s
         finally:
             store.cleanup()
