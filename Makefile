@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: verify test test-all bench bench-smoke opbench-test lint goldens goldens-check reproduce trace-smoke chaos-smoke campaign-smoke dse-smoke fleet-smoke obs-smoke coverage clean-cache
+.PHONY: verify test test-all bench bench-smoke opbench-test lint goldens goldens-check reproduce trace-smoke chaos-smoke campaign-smoke dse-smoke obs-smoke coverage clean-cache
 
 verify: test
 
@@ -86,18 +86,10 @@ dse-smoke:
 		print('dse HTML ok (%d bytes)' % len(html))"
 	@rm -rf dse-smoke.out
 
-# Chaos-over-fleet smoke: a 3-node in-process fleet behind the
-# gateway, a 200-request burst sequence (8 bursts x 25 canonical
-# requests), one node killed while its requests are in flight.  The
-# differential oracle referees: the gateway must reroute with zero
-# wrong answers — and, since simulations are pure, zero degraded ones
-# (see docs/fleet.md).  Deterministic via --seed; runs in seconds.
-fleet-smoke:
-	$(PY) -m repro fleet soak --seed 42 --nodes 3 --requests 25 --bursts 8
-
-# Observability smoke: a 2-node fleet drives 50 requests while the
-# scraper samples windowed metrics; asserts a stitched multi-process
-# trace (gateway -> node -> worker, time-aligned, no orphan spans), a
+# Observability smoke: one in-process service with thread workers
+# drives 50 requests while the scraper samples windowed metrics on a
+# fake clock; asserts one service.submit -> worker.execute span tree
+# per request (no orphan spans, children inside their parents), a
 # windowed p95 diverging from the cumulative one, a burn-rate alert
 # firing then resolving, and an html.parser-valid dashboard (see
 # docs/observability.md).  Exit 1 on any failed check.

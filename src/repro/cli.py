@@ -18,10 +18,6 @@ Subcommands:
 * ``campaign``  — structured fault-injection campaigns against the
   modeled machine (run / resume / report / list), with outcome
   classification and a static HTML dashboard.
-* ``fleet``     — the horizontal serving tier: ``serve`` (gateway over
-  N worker nodes, autoscaled), ``bench`` (breaking-point ramp,
-  writes ``BENCH_fleet.json``), ``status``, ``soak`` (kill a node
-  mid-load; zero wrong answers or exit 1).
 * ``dse``       — evolutionary design-space exploration over SUIT
   operating points (run / resume / report / recommend / list):
   NSGA-II over (performance, energy, security headroom), Pareto
@@ -42,10 +38,6 @@ Examples:
     python -m repro campaign resume --out out/
     python -m repro dse run --search nginx_pareto --out out/dse/
     python -m repro dse recommend --out out/dse/
-    python -m repro fleet serve --nodes 3 --port 8643
-    python -m repro fleet bench --nodes 3 --out BENCH_fleet.json
-    python -m repro fleet status --port 8643
-    python -m repro fleet soak --seed 42 --nodes 3 --requests 25 --bursts 8
 """
 
 from __future__ import annotations
@@ -395,161 +387,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_fleet(args: argparse.Namespace) -> int:
-    """Fleet verbs: serve / bench / status / soak."""
-    import asyncio
-    import json
-    from pathlib import Path
-
-    if args.fleet_cmd == "status":
-        from repro.service.client import ServiceClient
-
-        async def _status() -> dict:
-            client = await ServiceClient.connect(args.host, args.port)
-            try:
-                return await client.fleet_status()
-            finally:
-                await client.close()
-
-        try:
-            fleet = asyncio.run(_status())
-        except (ConnectionError, OSError) as exc:
-            raise SystemExit(
-                f"cannot reach gateway at {args.host}:{args.port}: {exc}")
-        except ValueError as exc:
-            raise SystemExit(str(exc))
-        print(json.dumps(fleet, indent=2, sort_keys=True))
-        return 0
-
-    if args.fleet_cmd == "soak":
-        from repro.fleet.soak import FleetSoak, FleetSoakConfig
-
-        config = FleetSoakConfig(
-            seed=args.seed,
-            n_nodes=args.nodes,
-            n_requests=args.requests,
-            bursts=args.bursts,
-            kill_node=not args.no_kill,
-            forward_fault_rate=args.forward_fault_rate,
-            health_fault_rate=args.health_fault_rate,
-            require_all_ok=not args.allow_degraded,
-            use_processes=args.processes,
-        )
-        try:
-            soak = FleetSoak(config)
-        except ValueError as exc:
-            raise SystemExit(str(exc))
-        result = asyncio.run(soak.run())
-        print(json.dumps(result.to_json_dict(), indent=2, sort_keys=True))
-        if not result.passed:
-            print(f"FLEET SOAK FAILED: {result.wrong_answers} wrong, "
-                  f"{result.degraded_answers} degraded answer(s)",
-                  flush=True)
-            return 1
-        return 0
-
-    if args.fleet_cmd == "bench":
-        from repro.fleet.bench import FleetBenchConfig, run_fleet_bench
-        from repro.fleet.loadgen import LoadGenConfig, write_bench
-
-        try:
-            config = FleetBenchConfig(
-                n_nodes=args.nodes,
-                use_processes=not args.inline,
-                n_shards=args.shards,
-                workers_per_shard=args.workers_per_shard,
-                autoscale=not args.no_autoscale,
-                max_nodes=args.max_nodes,
-                baseline=not args.no_baseline,
-                load=LoadGenConfig(
-                    start_rps=args.start_rps,
-                    step_rps=args.step_rps,
-                    max_steps=args.max_steps,
-                    requests_per_step=args.requests_per_step,
-                    slo_p95_s=args.slo_p95,
-                    slo_error_rate=args.slo_error_rate,
-                    seed=args.seed,
-                    stall_s=args.stall_s,
-                ),
-            )
-        except ValueError as exc:
-            raise SystemExit(str(exc))
-        payload = asyncio.run(run_fleet_bench(config))
-        write_bench(Path(args.out), payload)
-        comparison = payload["comparison"]
-        print(f"wrote {args.out}")
-        print(f"fleet       : {comparison['fleet_max_sustainable_rps']} rps "
-              f"sustainable (breaking point "
-              f"{payload['fleet']['breaking_point_rps']} rps)")
-        if comparison["single_node_max_sustainable_rps"] is not None:
-            print(f"single node : "
-                  f"{comparison['single_node_max_sustainable_rps']} rps "
-                  f"sustainable")
-            print(f"ratio       : {comparison['throughput_ratio']}x")
-        for event in payload["autoscaler"]["events"]:
-            print(f"  scale event: {event['action']} -> "
-                  f"{event['fleet_size']} nodes ({event['reason']})")
-        return 0
-
-    # serve
-    from repro.fleet import (
-        Autoscaler,
-        AutoscalerConfig,
-        FleetGateway,
-        GatewayConfig,
-        NodeConfig,
-        NodeSupervisor,
-        start_fleet_server,
-    )
-
-    async def _serve() -> None:
-        supervisor = NodeSupervisor(NodeConfig(
-            in_process=args.in_process,
-            use_processes=not args.inline,
-            n_shards=args.shards,
-            workers_per_shard=args.workers_per_shard,
-        ))
-        gateway = FleetGateway(GatewayConfig())
-        scaler = None
-        server = None
-        try:
-            for _ in range(args.nodes):
-                handle = await supervisor.spawn()
-                gateway.add_node(handle.name, handle.host, handle.port)
-            await gateway.start()
-            if not args.no_autoscale:
-                scaler = Autoscaler(gateway, supervisor, AutoscalerConfig(
-                    min_nodes=args.nodes, max_nodes=args.max_nodes))
-                await scaler.start()
-            server = await start_fleet_server(gateway, args.host, args.port)
-            port = server.sockets[0].getsockname()[1]
-            mode = "in-process" if args.in_process else "subprocess"
-            print(f"repro fleet gateway listening on {args.host}:{port}  "
-                  f"[{args.nodes} {mode} node(s), autoscale "
-                  f"{'off' if args.no_autoscale else f'<= {args.max_nodes}'}]",
-                  flush=True)
-            if args.duration is not None:
-                await asyncio.sleep(args.duration)
-            else:
-                await asyncio.Event().wait()
-        finally:
-            if server is not None:
-                server.close()
-                await server.wait_closed()
-            if scaler is not None:
-                await scaler.stop()
-            status = await gateway.status()
-            await gateway.close()
-            await supervisor.stop_all(drain=True)
-            print(json.dumps(status["counters"], indent=2, sort_keys=True))
-
-    try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:
-        pass
-    return 0
-
-
 def cmd_campaign(args: argparse.Namespace) -> int:
     """Run / resume / report a structured fault-injection campaign."""
     import json
@@ -753,14 +590,13 @@ def cmd_obs(args: argparse.Namespace) -> int:
         from repro.obs.smoke import ObsSmokeConfig, run_obs_smoke
 
         report = run_obs_smoke(ObsSmokeConfig(
-            out_dir=Path(args.out), n_nodes=args.nodes,
-            n_slow=args.slow, n_fast=args.fast))
+            out_dir=Path(args.out), n_slow=args.slow, n_fast=args.fast))
         print(json.dumps(report["checks"], indent=2, sort_keys=True))
         print(f"windowed p95 {report['windowed_p95_s']}s vs cumulative "
               f"{report['cumulative_p95_s']}s; "
               f"{report['n_stitched_traces']} stitched trace(s) across "
               f"{report['n_process_lanes']} process lanes")
-        print(f"artefacts in {args.out}/ (report.json, fleet_trace.json, "
+        print(f"artefacts in {args.out}/ (report.json, trace.json, "
               "dashboard.html)")
         if not report["passed"]:
             failed = [k for k, ok in report["checks"].items() if not ok]
@@ -768,33 +604,13 @@ def cmd_obs(args: argparse.Namespace) -> int:
             return 1
         return 0
 
-    # top / dashboard: poll a running service or gateway over TCP.
+    # top / dashboard: poll a running service over TCP.
     from repro.obs.dashboard import render_obs_dashboard, render_top
-    from repro.obs.smoke import aggregate_snapshots
     from repro.obs.timeseries import MetricsScraper
     from repro.service.client import ServiceClient
 
-    scrapers: dict = {}
-
-    def ingest(answer: dict) -> None:
-        """One poll into the per-target scrapers.
-
-        A gateway answers ``{"gateway": ..., "nodes": {...}}`` (one
-        scraper per node plus an aggregated ``fleet`` one); a plain
-        node answers a flat registry snapshot.
-        """
-        def scraper(name: str) -> MetricsScraper:
-            return scrapers.setdefault(
-                name, MetricsScraper(interval_s=args.interval))
-        if "nodes" in answer and "gateway" in answer:
-            node_snaps = []
-            for name, snap in sorted((answer.get("nodes") or {}).items()):
-                if isinstance(snap, dict) and "error" not in snap:
-                    node_snaps.append(snap)
-                    scraper(name).ingest(snap)
-            scraper("fleet").ingest(aggregate_snapshots(node_snaps))
-        else:
-            scraper("service").ingest(answer)
+    scraper = MetricsScraper(interval_s=args.interval)
+    scrapers = {"service": scraper}
 
     async def _poll(frames: int) -> None:
         client = await ServiceClient.connect(args.host, args.port)
@@ -802,7 +618,7 @@ def cmd_obs(args: argparse.Namespace) -> int:
             for frame in range(frames):
                 if frame:
                     await asyncio.sleep(args.interval)
-                ingest(await client.metrics())
+                scraper.ingest(await client.metrics())
                 if args.obs_cmd == "top" and frame:
                     print(render_top(scrapers, window_s=args.window))
                     print()
@@ -813,7 +629,7 @@ def cmd_obs(args: argparse.Namespace) -> int:
         if args.obs_cmd == "top":
             asyncio.run(_poll(args.frames + 1))
             return 0
-        # dashboard: scrape, fetch the trace summary, write the HTML.
+        # dashboard: scrape, fetch the flight recorder, write the HTML.
         asyncio.run(_poll(max(2, args.scrapes)))
 
         async def _trace() -> dict:
@@ -827,19 +643,7 @@ def cmd_obs(args: argparse.Namespace) -> int:
     except (ConnectionError, OSError) as exc:
         raise SystemExit(
             f"cannot reach target at {args.host}:{args.port}: {exc}")
-    merged = trace.get("merged")
-    trace_summary = None
-    if isinstance(merged, dict):
-        from repro.obs.context import trace_ids_in
-
-        events = merged.get("traceEvents") or []
-        trace_summary = {
-            "n_processes": (merged.get("otherData") or {}).get(
-                "n_processes", 0),
-            "n_stitched_traces": len(trace_ids_in(events)),
-            "path": None}
     page = render_obs_dashboard(scrapers, flight=trace.get("flight"),
-                                trace_summary=trace_summary,
                                 window_s=args.window)
     Path(args.out).write_text(page, encoding="utf-8")
     print(f"wrote {args.out}")
@@ -1139,101 +943,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON snapshot instead of Prometheus text")
     p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("fleet",
-                       help="gateway + worker fleet (serve / bench / "
-                            "status / soak)")
-    fleet_sub = p.add_subparsers(dest="fleet_cmd", required=True)
-    fs = fleet_sub.add_parser(
-        "serve", help="run a gateway over N worker nodes")
-    fs.add_argument("--host", default="127.0.0.1")
-    fs.add_argument("--port", type=int, default=8643,
-                    help="gateway TCP port (0 binds an ephemeral port)")
-    fs.add_argument("--nodes", type=_positive_int, default=2,
-                    help="worker nodes to start with")
-    fs.add_argument("--shards", type=_positive_int, default=1,
-                    help="worker-pool shards per node")
-    fs.add_argument("--workers-per-shard", type=_positive_int, default=2,
-                    help="processes per shard, per node")
-    fs.add_argument("--inline", action="store_true",
-                    help="thread workers instead of process pools")
-    fs.add_argument("--in-process", action="store_true",
-                    help="nodes on the gateway's event loop instead of "
-                         "python -m repro serve subprocesses")
-    fs.add_argument("--no-autoscale", action="store_true",
-                    help="fixed fleet size (no control loop)")
-    fs.add_argument("--max-nodes", type=_positive_int, default=8,
-                    help="autoscaler growth ceiling")
-    fs.add_argument("--duration", type=float, default=None,
-                    help="serve for N seconds then drain (default: forever)")
-    fs.set_defaults(func=cmd_fleet)
-    fb = fleet_sub.add_parser(
-        "bench", help="breaking-point ramp; writes BENCH_fleet.json")
-    fb.add_argument("--nodes", type=_positive_int, default=3,
-                    help="fleet size the scaled ramp starts with")
-    fb.add_argument("--shards", type=_positive_int, default=1,
-                    help="worker-pool shards per node")
-    fb.add_argument("--workers-per-shard", type=_positive_int, default=2,
-                    help="processes per shard, per node")
-    fb.add_argument("--inline", action="store_true",
-                    help="thread workers (GIL-bound: only for quick "
-                         "harness checks, not scaling claims)")
-    fb.add_argument("--no-autoscale", action="store_true",
-                    help="fixed fleet size during the ramp")
-    fb.add_argument("--max-nodes", type=_positive_int, default=5,
-                    help="autoscaler growth ceiling")
-    fb.add_argument("--no-baseline", action="store_true",
-                    help="skip the single-node comparison ramp")
-    fb.add_argument("--start-rps", type=float, default=25.0)
-    fb.add_argument("--step-rps", type=float, default=25.0)
-    fb.add_argument("--max-steps", type=_positive_int, default=8)
-    fb.add_argument("--requests-per-step", type=_positive_int, default=50)
-    fb.add_argument("--slo-p95", type=float, default=1.0,
-                    help="latency SLO in seconds")
-    fb.add_argument("--slo-error-rate", type=float, default=0.02,
-                    help="tolerated fraction of non-ok answers")
-    fb.add_argument("--stall-s", type=float, default=None,
-                    help="switch to the constant-service-time capacity "
-                         "mix with this per-request stall in seconds "
-                         "(the honest scaling measure on few-core "
-                         "hosts); default: CPU-bound simulation mix")
-    fb.add_argument("--seed", type=int, default=0)
-    fb.add_argument("--out", default="BENCH_fleet.json",
-                    help="report path")
-    fb.set_defaults(func=cmd_fleet)
-    ft = fleet_sub.add_parser(
-        "status", help="fetch a running gateway's fleet status")
-    ft.add_argument("--host", default="127.0.0.1")
-    ft.add_argument("--port", type=int, default=8643)
-    ft.set_defaults(func=cmd_fleet)
-    fk = fleet_sub.add_parser(
-        "soak", help="chaos-over-fleet: kill a node mid-load, demand "
-                     "zero wrong answers (exit 1 on failure)")
-    fk.add_argument("--seed", type=int, default=0,
-                    help="master seed (request set + fault schedule)")
-    fk.add_argument("--nodes", type=_positive_int, default=3,
-                    help="fleet size")
-    fk.add_argument("--requests", type=_positive_int, default=8,
-                    help="canonical requests per burst")
-    fk.add_argument("--bursts", type=_positive_int, default=4,
-                    help="bursts driven through the gateway")
-    fk.add_argument("--no-kill", action="store_true",
-                    help="leave every node alive (faults only)")
-    fk.add_argument("--forward-fault-rate", type=float, default=0.0,
-                    help="P(injected connection reset) per forward")
-    fk.add_argument("--health-fault-rate", type=float, default=0.0,
-                    help="P(injected OSError) per health probe")
-    fk.add_argument("--allow-degraded", action="store_true",
-                    help="tolerate explicit failures (wrong answers "
-                         "still fail the soak)")
-    fk.add_argument("--processes", action="store_true",
-                    help="process worker pools in the nodes")
-    fk.set_defaults(func=cmd_fleet)
-
     p = sub.add_parser("obs",
                        help="observability: live top, HTML dashboard, smoke")
     obs_sub = p.add_subparsers(dest="obs_cmd", required=True)
     ot = obs_sub.add_parser(
-        "top", help="poll a service or gateway and print windowed stats")
+        "top", help="poll a service and print windowed stats")
     ot.add_argument("--host", default="127.0.0.1")
     ot.add_argument("--port", type=int, default=8642)
     ot.add_argument("--interval", type=float, default=1.0,
@@ -1257,12 +971,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="output HTML path")
     od.set_defaults(func=cmd_obs)
     os_ = obs_sub.add_parser(
-        "smoke", help="end-to-end observability smoke over a 2-node "
-                      "fleet (exit 1 on failure)")
+        "smoke", help="end-to-end observability smoke over one "
+                      "in-process service (exit 1 on failure)")
     os_.add_argument("--out", default="obs-smoke",
                      help="artefact directory (report, trace, dashboard)")
-    os_.add_argument("--nodes", type=_positive_int, default=2,
-                     help="fleet size")
     os_.add_argument("--slow", type=_positive_int, default=12,
                      help="slow (SLO-burning) requests")
     os_.add_argument("--fast", type=_positive_int, default=19,

@@ -18,9 +18,10 @@ Example:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.batchsim import SweepConfig, simulate_sweep
 from repro.core.estimates import nosimd_estimate
@@ -38,10 +39,21 @@ from repro.workloads.trace import FaultableTrace
 #: Operating strategies, by their Table 6 short names.
 KNOWN_STRATEGIES = ("fV", "f", "V", "e")
 
+#: The strategies that raise the voltage, and so need a voltage rail.
+VOLTAGE_STRATEGIES = ("fV", "V")
+
 
 def _is_real(value: object) -> bool:
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
             and math.isfinite(value))
+
+
+@functools.lru_cache(maxsize=None)
+def _cpu_limits(name: str) -> Tuple[int, bool]:
+    """``(core count, has a voltage rail)`` of CPU *name*, read once
+    from its model so that validation builds none."""
+    cpu = ALL_CPU_FACTORIES[name]()
+    return cpu.topology.n_cores, cpu.transitions.voltage is not None
 
 
 @dataclass(frozen=True)
@@ -83,6 +95,10 @@ class OperatingPoint:
         if self.strategy not in KNOWN_STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}; "
                              f"know {', '.join(KNOWN_STRATEGIES)}")
+        cores, has_rail = _cpu_limits(self.cpu)
+        if self.strategy in VOLTAGE_STRATEGIES and not has_rail:
+            raise ValueError(f"CPU {self.cpu} has no voltage control; "
+                             "use the f or e strategy")
         if not _is_real(self.voltage_offset) or self.voltage_offset >= 0:
             raise ValueError(
                 "voltage_offset is the efficient-curve offset in volts "
@@ -91,7 +107,6 @@ class OperatingPoint:
             raise ValueError("seed must be a non-negative integer")
         if not isinstance(self.n_cores, int) or self.n_cores < 1:
             raise ValueError("n_cores must be a positive integer")
-        cores = ALL_CPU_FACTORIES[self.cpu]().topology.n_cores
         if self.n_cores > cores:
             raise ValueError(f"CPU {self.cpu} has only {cores} cores")
         if self.deadline_us is not None and (

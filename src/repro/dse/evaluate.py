@@ -21,8 +21,8 @@ Two backends share that contract:
 * :class:`ServiceEvalBackend` — ships each missing job as one
   :class:`~repro.service.request.SimRequest` (carrying the new
   ``deadline_us`` / ``imul_extra_cycles`` fields) to a running
-  simulation service or fleet gateway; the worker tier reproduces the
-  local semantics bit for bit.
+  simulation service; the worker tier reproduces the local semantics
+  bit for bit.
 """
 
 from __future__ import annotations
@@ -198,7 +198,7 @@ class LocalEvalBackend:
 
 
 class ServiceEvalBackend:
-    """Evaluates genomes through a running simulation service or fleet.
+    """Evaluates genomes through a running simulation service.
 
     Each missing job becomes one :class:`~repro.service.request.SimRequest`
     carrying the search's seed plus the job's ``deadline_us`` and
@@ -207,8 +207,8 @@ class ServiceEvalBackend:
 
     Args:
         spec: the search being evaluated.
-        host: service or gateway host.
-        port: service or gateway port.
+        host: service host.
+        port: service port.
         timeout_s: overall bound per generation exchange.
     """
 

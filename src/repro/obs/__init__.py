@@ -21,7 +21,6 @@ reproduction (see ``docs/observability.md``):
 from repro.obs.context import (
     TraceContext,
     assert_span_containment,
-    merge_process_traces,
     new_span_id,
     new_trace_id,
     orphan_spans,
@@ -103,7 +102,6 @@ __all__ = [
     "histogram_delta",
     "latency_bounds",
     "logging_setup",
-    "merge_process_traces",
     "new_span_id",
     "new_trace_id",
     "orphan_spans",

@@ -1,12 +1,12 @@
 """Distributed trace context: one request, one stitched span tree.
 
-A request that crosses the fleet's process boundaries (client →
-gateway → node → worker) is stitched back together by two pieces of
-shared identity carried in the JSON-lines protocol frames:
+A request that crosses the service's tiers (client → service →
+worker) is stitched back together by two pieces of shared identity
+carried in the JSON-lines protocol frames and the worker batches:
 
 * ``trace_id`` — one id per logical request, minted where the request
-  first enters a traced tier (normally the gateway) and forwarded
-  verbatim through every hop, retry and reroute.
+  first enters a traced tier (normally the service) and forwarded
+  verbatim through every hop and retry.
 * ``parent_span`` — the span id of the *caller's* span, so each tier's
   span nests under the hop that dispatched it.
 
@@ -16,32 +16,23 @@ Every traced tier records its span as an ordinary
 no new event type is needed, and the Chrome/Perfetto export keeps
 working unchanged.
 
-The second half of this module is the fleet-merge fix: each process's
-:class:`~repro.obs.tracer.Tracer` stamps wall-track timestamps as
-"seconds since tracer creation", so naively concatenating the fan-out
-answers misaligns every process by its start-time skew.
-:func:`merge_process_traces` rebases every event onto the gateway
-tracer's wall-clock origin (``origin_unix_s``, recorded at creation)
-so the merged Chrome trace is time-aligned across processes.
-
 :func:`span_index` / :func:`span_tree` / :func:`orphan_spans` are the
 assertion helpers the tests and the smoke drive: a healthy request —
-retried, rerouted, deduped or not — must produce exactly one connected
-span tree per trace id, with no orphans.
+retried, deduped or not — must produce exactly one connected span tree
+per trace id, with no orphans.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
-from repro.obs.tracer import TRACK_WALL, PHASE_COMPLETE
+from repro.obs.tracer import PHASE_COMPLETE
 
 __all__ = [
     "TraceContext",
     "assert_span_containment",
-    "merge_process_traces",
     "new_span_id",
     "new_trace_id",
     "orphan_spans",
@@ -66,7 +57,7 @@ class TraceContext:
     """The trace identity one tier works under.
 
     Attributes:
-        trace_id: the request's fleet-wide identity.
+        trace_id: the request's identity across every tier.
         span_id: this tier's own span id (what children parent on).
         parent_span: the caller's span id, or None at the root.
     """
@@ -99,9 +90,8 @@ class TraceContext:
     def args(self, proc: Optional[str] = None, **extra) -> dict:
         """Event ``args`` carrying this context (plus *extra* fields).
 
-        ``proc`` names the logical process/tier ("gateway", "node-0",
-        "worker:..."); the fleet merge groups merged events into Chrome
-        processes by it.
+        ``proc`` names the logical process/tier ("service-<pid>",
+        "worker:..."), the lane a span is drawn on.
         """
         payload: Dict[str, object] = {"trace_id": self.trace_id,
                                       "span_id": self.span_id}
@@ -111,76 +101,6 @@ class TraceContext:
             payload["proc"] = proc
         payload.update(extra)
         return payload
-
-
-# -- fleet merge ---------------------------------------------------------
-
-
-def merge_process_traces(processes: Sequence[dict],
-                         base_origin_unix_s: float) -> dict:
-    """Merge per-process Chrome events onto one time-aligned trace.
-
-    Args:
-        processes: one entry per fan-out answer:
-            ``{"name": str, "origin_unix_s": float, "events": [chrome
-            event dicts], "tracer_id": str (optional)}``.  Entries
-            sharing a ``tracer_id`` (an in-process fleet, where the
-            gateway and its nodes write one global tracer) are merged
-            once.
-        base_origin_unix_s: the wall-clock origin everything is rebased
-            onto — normally the gateway tracer's ``origin_unix_s``.
-
-    Each wall-track event's ``ts`` (microseconds since *its* tracer's
-    creation) is shifted by ``(origin - base_origin) * 1e6``, putting
-    every process on the base tracer's clock.  Sim-track events are
-    simulated time and carry no cross-process meaning, so they are
-    left out of the merged view.  Events are regrouped into Chrome
-    processes by their ``args.proc`` tier label (falling back to the
-    process entry's name), with process-name metadata emitted per
-    group.
-    """
-    merged: List[dict] = []
-    pid_of: Dict[str, int] = {}
-    seen_tracers: set = set()
-
-    def pid_for(proc: str) -> int:
-        pid = pid_of.get(proc)
-        if pid is None:
-            pid = len(pid_of) + 1
-            pid_of[proc] = pid
-        return pid
-
-    for process in processes:
-        tracer_id = process.get("tracer_id")
-        if tracer_id is not None:
-            if tracer_id in seen_tracers:
-                continue
-            seen_tracers.add(tracer_id)
-        name = str(process.get("name", "?"))
-        origin = float(process.get("origin_unix_s", base_origin_unix_s))
-        shift_us = (origin - base_origin_unix_s) * 1e6
-        for event in process.get("events", ()):
-            if not isinstance(event, dict):
-                continue
-            if event.get("ph") == "M":
-                continue  # per-process metadata is regenerated below
-            if event.get("pid") not in (None, TRACK_WALL):
-                continue  # sim-time events stay per-process
-            out = dict(event)
-            out["ts"] = float(event.get("ts", 0.0)) + shift_us
-            args = event.get("args") or {}
-            proc = args.get("proc") if isinstance(args, dict) else None
-            out["pid"] = pid_for(str(proc) if proc else name)
-            merged.append(out)
-
-    merged.sort(key=lambda e: (e.get("pid", 0), e.get("ts", 0.0)))
-    metadata = [{"name": "process_name", "ph": "M", "pid": pid, "tid": 0,
-                 "args": {"name": proc}}
-                for proc, pid in sorted(pid_of.items(),
-                                        key=lambda item: item[1])]
-    return {"traceEvents": metadata + merged, "displayTimeUnit": "ms",
-            "otherData": {"origin_unix_s": base_origin_unix_s,
-                          "n_processes": len(pid_of)}}
 
 
 # -- span-tree assertions ------------------------------------------------
@@ -202,7 +122,7 @@ def span_index(events: Iterable[dict],
     """``{span_id: event}`` of the complete-phase spans in *events*.
 
     With *trace_id*, only that trace's spans are indexed.  Instants
-    (reroute markers, batch markers) carry context but are not spans;
+    (batch and retry markers) carry context but are not spans;
     they are excluded here and checked separately.
     """
     index: Dict[str, dict] = {}
@@ -249,10 +169,9 @@ def assert_span_containment(events: Iterable[dict], trace_id: str,
                             slack_us: float = 50_000.0) -> int:
     """Assert every child span nests inside its parent's interval.
 
-    The monotone-containment regression check of the fleet-merge fix:
-    on a merged, rebased trace each child's ``[ts, ts+dur]`` must fall
-    within its parent's (up to *slack_us* of cross-process clock
-    skew).  Returns the number of parent/child pairs checked; raises
+    Each child's ``[ts, ts+dur]`` must fall within its parent's (up
+    to *slack_us* of clock skew between the tiers that stamped them).
+    Returns the number of parent/child pairs checked; raises
     ``AssertionError`` naming the first violating pair.
     """
     tree = span_tree(list(events), trace_id)

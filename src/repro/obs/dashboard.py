@@ -2,7 +2,7 @@
 
 Both views render the same inputs — one or more
 :class:`~repro.obs.timeseries.MetricsScraper`\\ s (one per scrape
-target: a single service, or gateway + every node), an optional
+target, usually one service), an optional
 :class:`~repro.obs.slo.SLOMonitor` and the flight-recorder/trace
 summaries — and both are stdlib-only, in the ``campaigns``
 :class:`~repro.campaigns.report.ReportBuilder` tradition: no server,
@@ -163,7 +163,7 @@ def render_obs_dashboard(scrapers: Dict[str, MetricsScraper],
             alert tables.
         flight: optional flight-recorder dict
             (:meth:`~repro.obs.slo.FlightRecorder.to_json_dict`).
-        trace_summary: optional dict describing the merged trace
+        trace_summary: optional dict describing the exported trace
             (``n_processes``, ``n_stitched_traces``, ``path``).
         title: page title.
         window_s: the window behind every rate/percentile column.
@@ -270,11 +270,11 @@ def render_obs_dashboard(scrapers: Dict[str, MetricsScraper],
         parts.append("<h2>Distributed traces</h2>")
         detail = []
         if trace_summary.get("n_processes") is not None:
-            detail.append(f"{trace_summary['n_processes']} merged "
+            detail.append(f"{trace_summary['n_processes']} "
                           "process lanes")
         if trace_summary.get("n_stitched_traces") is not None:
             detail.append(f"{trace_summary['n_stitched_traces']} stitched "
-                          "multi-process traces")
+                          "traces")
         if trace_summary.get("path"):
             detail.append("exported to "
                           f"<code>{html.escape(str(trace_summary['path']))}"

@@ -4,8 +4,8 @@ Every metric in :mod:`repro.obs.registry` is cumulative-since-start —
 the right primitive for cheap lock-free writes, and the wrong shape
 for every operational question ("what is the p95 *now*?", "how many
 requests per second *currently*?").  A cold warm-up's slow requests
-sit in the cumulative ``latency_s`` histogram forever, which is why
-the autoscaler originally could not trust p95-based scaling.
+sit in the cumulative ``latency_s`` histogram forever, so a p95 read
+from it never recovers from one bad minute.
 
 :class:`MetricsScraper` fixes this at read time, the way Prometheus
 does: snapshot the registry on a fixed interval into a bounded ring
@@ -24,10 +24,7 @@ subtracting samples —
 The scraper is transport-agnostic: :meth:`scrape` reads an in-process
 :class:`~repro.obs.registry.MetricsRegistry`, and :meth:`ingest`
 accepts any snapshot dict — what a poller gets back from a remote
-node's ``metrics`` verb — so one scraper per fleet node is exactly the
-gateway-side wiring (:meth:`repro.fleet.gateway.FleetGateway
-.node_signals` keeps one histogram snapshot per node for the same
-delta arithmetic).
+service's ``metrics`` verb (``python -m repro obs top``).
 """
 
 from __future__ import annotations
@@ -166,7 +163,7 @@ class MetricsScraper:
 
     def ingest(self, snapshot: dict, t_s: Optional[float] = None) -> Sample:
         """Append one snapshot dict (local or fetched from a remote
-        node's ``metrics`` verb); returns the stored :class:`Sample`."""
+        service's ``metrics`` verb); returns the stored :class:`Sample`."""
         sample = Sample(
             t_s=self.clock.monotonic() if t_s is None else float(t_s),
             counters=dict(snapshot.get("counters") or {}),

@@ -27,7 +27,6 @@ event.  :func:`enable_tracing` swaps in a recording tracer.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from collections import deque
@@ -106,16 +105,9 @@ class Tracer:
         self._lock = threading.Lock()
         self._epoch = time.perf_counter()
         #: Wall-clock time (``time.time()``) at tracer creation.  Every
-        #: wall-track timestamp is "seconds since creation", so this is
-        #: the shared epoch that lets a fleet merge re-align traces
-        #: recorded by different processes (see
-        #: :func:`repro.obs.context.merge_process_traces`).
+        #: wall-track timestamp is "seconds since creation", so this
+        #: anchors the trace to the wall clock (logs, other traces).
         self.origin_unix_s = time.time()
-        #: Unique identity of this tracer instance.  A fleet whose
-        #: gateway and nodes run in one process share a single global
-        #: tracer; the fan-out merge dedups on this id so shared
-        #: buffers are not merged twice.
-        self.tracer_id = os.urandom(8).hex()
         self.n_dropped = 0
 
     def now_s(self) -> float:
@@ -197,8 +189,7 @@ class Tracer:
         chrome.extend(event.to_chrome() for event in events)
         return {"traceEvents": chrome, "displayTimeUnit": "ms",
                 "otherData": {"n_dropped": self.n_dropped,
-                              "origin_unix_s": self.origin_unix_s,
-                              "tracer_id": self.tracer_id}}
+                              "origin_unix_s": self.origin_unix_s}}
 
     def export_chrome(self, path) -> Path:
         """Write the Chrome trace JSON to *path*; returns the path."""

@@ -13,14 +13,14 @@ requests can be in flight on a single connection.
     await client.close()
 
 **Reconnect hardening**: a connection that dies mid-exchange (peer
-reset, EOF, a fleet node crashing under load) is transparently
+reset, EOF, a service restarting under load) is transparently
 re-opened **once** and the affected message resent — for idempotent
-verbs only.  Every current verb qualifies: simulations are pure
+verbs only.  Every verb but ``drain`` qualifies: simulations are pure
 functions of the canonical request (resending one can at worst hit
-the node's cache or in-flight dedup), and metrics/trace/ping/health
+the service's cache or in-flight dedup), and metrics/trace/ping/health
 are reads.  A resend that fails again, or a verb marked
 non-idempotent, surfaces the original ``ConnectionError`` to the
-caller — the fleet gateway turns that into a reroute.
+caller.
 
 For scripts that don't want an event loop,
 :func:`request_simulations` wraps connect/submit-all/close in one
@@ -137,7 +137,7 @@ class ServiceClient:
         connection dies — the first one through the lock reconnects,
         the rest observe the bumped generation and just resend on the
         new streams.  The generation bumps only on success, so a
-        failed reconnect (node really gone) lets the next waiter try
+        failed reconnect (service really gone) lets the next waiter try
         again — and fail fast with the real connection error.
         """
         assert self._host is not None and self._port is not None
@@ -199,18 +199,16 @@ class ServiceClient:
         """Fetch the service-side tracer's recorded events.
 
         Returns ``{"enabled", "events", "proc", "origin_unix_s",
-        "tracer_id", "flight"}`` — the origin/tracer identity is what
-        :func:`~repro.obs.context.merge_process_traces` needs to rebase
-        this process's events onto a shared clock, and ``flight`` is
-        the node's flight-recorder exemplars.  Events are empty when
-        the service runs with tracing off.
+        "flight"}`` — ``origin_unix_s`` is the wall-clock time the
+        events' timestamps count from, and ``flight`` is the service's
+        flight-recorder exemplars.  Events are empty when the service
+        runs with tracing off.
         """
         reply = await self._roundtrip({"op": "trace"})
         return {"enabled": reply.get("enabled", False),
                 "events": reply.get("events", []),
                 "proc": reply.get("proc"),
                 "origin_unix_s": reply.get("origin_unix_s"),
-                "tracer_id": reply.get("tracer_id"),
                 "flight": reply.get("flight")}
 
     async def ping(self) -> dict:
@@ -219,24 +217,16 @@ class ServiceClient:
 
     async def health(self) -> dict:
         """The service's health verb: admission state, queue depth,
-        in-flight count — the cheap signals supervisors and
-        autoscalers poll."""
+        in-flight count — the cheap signals a supervisor polls."""
         return await self._roundtrip({"op": "health"})
 
     async def drain(self) -> dict:
         """Ask the service to drain: stop admitting, finish accepted
         work, shut the worker tier down.  Returns when the drain
         completed.  **Not idempotent-retried**: a resent drain against
-        a restarted node would stop the replacement too.
+        a restarted service would stop the replacement too.
         """
         return await self._roundtrip({"op": "drain"}, idempotent=False)
-
-    async def fleet_status(self) -> dict:
-        """The fleet control-plane view (gateway connections only)."""
-        reply = await self._roundtrip({"op": "status"})
-        if reply.get("op") == "error":
-            raise ValueError(reply.get("error", "not a fleet gateway"))
-        return reply.get("fleet", {})
 
     async def close(self) -> None:
         """Close the connection and stop the reader task."""

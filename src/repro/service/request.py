@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -123,8 +124,10 @@ class SimRequest:
             raise InvalidRequestError("priority must be an integer")
         if self.deadline_s is not None and (
                 not isinstance(self.deadline_s, (int, float))
+                or not math.isfinite(self.deadline_s)
                 or self.deadline_s <= 0):
-            raise InvalidRequestError("deadline_s must be positive when set")
+            raise InvalidRequestError(
+                "deadline_s must be positive and finite when set")
         for name in ("trace_id", "parent_span"):
             value = getattr(self, name)
             if value is not None and (not isinstance(value, str)

@@ -182,9 +182,7 @@ class SimulationService:
             retry_backoff_s=self.config.retry_backoff_s,
             metrics=self.metrics,
             clock=clock)
-        #: Chrome-trace lane label of this service's spans; the fleet
-        #: supervisor overwrites it with the node name so an in-process
-        #: fleet's shared tracer still yields one lane per node.
+        #: Chrome-trace lane label of this service's spans.
         self.proc_name = f"service-{os.getpid()}"
         #: Exemplar keeper: the slowest and failed requests' trace ids,
         #: served by the ``trace`` verb for alert/dashboard links.
@@ -243,7 +241,7 @@ class SimulationService:
 
         When tracing is on, the whole submission becomes one
         ``service.submit`` span: continuing the request's ``trace_id``
-        if a gateway already minted one (the incoming ``parent_span``
+        if a caller already minted one (the incoming ``parent_span``
         becomes this span's parent), minting a fresh trace otherwise.
         The span id rides to the worker tier via the scheduler entry,
         and the finished request lands in the flight recorder.
@@ -513,12 +511,11 @@ async def _handle_message(service: SimulationService, message: dict,
         out = {"op": "trace", "enabled": tracer.enabled,
                "proc": service.proc_name,
                "origin_unix_s": tracer.origin_unix_s,
-               "tracer_id": tracer.tracer_id,
                "events": [event.to_chrome() for event in tracer.events()],
                "flight": service.flight.to_json_dict()}
     elif op == "health":
-        # The cheap control-plane signals: what a fleet supervisor or
-        # autoscaler polls without paying for a full metrics snapshot.
+        # The cheap control-plane signals: what a supervisor polls
+        # without paying for a full metrics snapshot.
         out = {"op": "health",
                "status": "draining" if service.closed else "ok",
                "queue_depth": service.scheduler.depth,
@@ -602,9 +599,9 @@ async def start_tcp_server(service: SimulationService,
 
     ``port=0`` binds an ephemeral port — read it back from
     ``server.sockets[0].getsockname()[1]``.  When *connections* is
-    given, every live connection's writer is tracked in it — the fleet
-    supervisor aborts those transports to make an in-process node kill
-    reset its peers exactly like a process death would.
+    given, every live connection's writer is tracked in it, so a
+    caller can abort those transports to reset its peers exactly like
+    a process death would.
     """
     async def handler(reader: "asyncio.StreamReader",
                       writer: "asyncio.StreamWriter") -> None:

@@ -14,9 +14,6 @@ reproduction stack to the same standard.  Production modules call
   stale/corrupt manifest, shm segment unlinked under readers).
 * ``cache.entry`` / ``cache.put`` — the on-disk result cache
   (corrupted / truncated / vanished entries, write failures).
-* ``fleet.route`` / ``fleet.forward`` / ``fleet.health`` — the fleet
-  gateway (routing fault on the ring walk, forwarding failure after a
-  node was picked, health-probe failure demoting a live node).
 
 When no :class:`ChaosController` is active, :func:`inject` is a
 two-comparison no-op — the hooks cost nothing in production.

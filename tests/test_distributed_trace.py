@@ -1,17 +1,12 @@
 """End-to-end distributed tracing: one request, one stitched span tree.
 
-Drives real requests through the service and the fleet with tracing on
-and asserts the propagation contract at each tier:
+Drives real requests through the service with tracing on and asserts
+the propagation contract:
 
 * the wire protocol carries ``trace_id``/``parent_span`` without
   changing request identity (dedup/cache keys) or the untraced frame;
 * a service submit yields a ``service.submit`` span with a
-  ``worker.execute`` child in the same trace;
-* a gateway submit yields a three-tier tree (gateway -> node ->
-  worker) whose merged Chrome trace is time-aligned and orphan-free;
-* a killed node mid-soak still leaves every trace connected, with the
-  rerouted trace ids attached to ``fleet_reroutes_total`` as exemplars
-  (the chaos half of the contract).
+  ``worker.execute`` child in the same trace.
 """
 
 import asyncio
@@ -19,7 +14,6 @@ import asyncio
 import pytest
 
 from repro.obs.context import (
-    assert_span_containment,
     orphan_spans,
     span_index,
     span_tree,
@@ -138,74 +132,3 @@ class TestServiceSpans:
         assert response.ok
         from repro.obs.tracer import get_tracer
         assert get_tracer().enabled is False
-
-
-class TestFleetSpans:
-    def test_gateway_trace_merges_three_tiers(self, tracer):
-        from repro.fleet.gateway import FleetGateway, GatewayConfig
-        from repro.fleet.node import NodeConfig, NodeSupervisor
-
-        async def scenario():
-            supervisor = NodeSupervisor(NodeConfig(in_process=True,
-                                                   use_processes=False))
-            gateway = FleetGateway(GatewayConfig(health_interval_s=0.05))
-            try:
-                for _ in range(2):
-                    handle = await supervisor.spawn()
-                    gateway.add_node(handle.name, handle.host,
-                                     handle.port)
-                await gateway.start()
-                responses = await asyncio.gather(*(
-                    gateway.submit(SimRequest("C", "__sleep__:0.01",
-                                              seed=i))
-                    for i in range(4)))
-                trace = await gateway.trace()
-                return responses, trace
-            finally:
-                await gateway.close()
-                await supervisor.stop_all(drain=True)
-
-        responses, trace = run(scenario())
-        assert all(r.ok for r in responses)
-        events = trace["merged"]["traceEvents"]
-        traces = trace_ids_in(events)
-        assert len(traces) == 4
-        for trace_id in traces:
-            spans = span_index(events, trace_id)
-            names = sorted(e["name"] for e in spans.values())
-            assert names == ["gateway.submit", "service.submit",
-                             "worker.execute"]
-            lanes = {e["pid"] for e in spans.values()}
-            assert len(lanes) == 3  # gateway / node / worker lanes
-            tree = span_tree(events, trace_id)
-            assert [e["name"] for e in tree["roots"]] == ["gateway.submit"]
-            assert tree["orphans"] == []
-            assert assert_span_containment(events, trace_id) == 2
-        # The flight recorder saw each request once, by trace id.
-        flight = trace["flight"]
-        assert {e["trace_id"] for e in flight["slowest"]} <= set(traces)
-
-
-class TestChaosTracePropagation:
-    def test_node_kill_leaves_no_orphan_spans(self, tracer):
-        # The soak kills a node mid-burst: rerouted requests must
-        # still stitch into single connected trees, and the reroute
-        # counter must carry their trace ids as exemplars.
-        from repro.fleet.soak import FleetSoak, FleetSoakConfig
-
-        result = run(FleetSoak(FleetSoakConfig(
-            seed=7, n_nodes=3, n_requests=6, bursts=3,
-            kill_node=True, kill_burst=1)).run())
-        assert result.passed
-        assert result.killed_node is not None
-        events = tracer.to_chrome_trace()["traceEvents"]
-        traces = trace_ids_in(events)
-        assert traces
-        for trace_id in traces:
-            assert orphan_spans(events, trace_id) == [], trace_id
-            roots = span_tree(events, trace_id)["roots"]
-            assert [e["name"] for e in roots] == ["gateway.submit"]
-        if sum(result.reroutes.values()):
-            assert result.reroute_exemplars
-            for reason, trace_id in result.reroute_exemplars.items():
-                assert trace_id in traces, reason

@@ -1,5 +1,5 @@
-"""Trace-context propagation, the fleet trace merge and the span-tree
-assertions (``repro.obs.context``)."""
+"""Trace-context propagation and the span-tree assertions
+(``repro.obs.context``)."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import pytest
 from repro.obs.context import (
     TraceContext,
     assert_span_containment,
-    merge_process_traces,
     new_span_id,
     new_trace_id,
     orphan_spans,
@@ -16,7 +15,7 @@ from repro.obs.context import (
     span_tree,
     trace_ids_in,
 )
-from repro.obs.tracer import PHASE_COMPLETE, TRACK_SIM, TRACK_WALL
+from repro.obs.tracer import PHASE_COMPLETE, TRACK_WALL
 
 
 class TestTraceContext:
@@ -76,101 +75,6 @@ def wall_event(name, ts_s, dur_s, trace_id, span_id, parent=None,
 TRACE = "f" * 16
 
 
-def two_process_fleet():
-    """A gateway span and, in a process started 0.4s later, its child.
-
-    In local clocks the child *precedes* its parent (0.2s vs 0.5s);
-    only rebasing onto the shared wall-clock origin nests it correctly
-    (absolute 1000.6s inside [1000.5, 1001.5]).
-    """
-    gateway = {"name": "gateway", "origin_unix_s": 1000.0,
-               "tracer_id": "g" * 16,
-               "events": [wall_event("gateway.submit", 0.5, 1.0, TRACE,
-                                     "aaaa0000", proc="gateway")]}
-    node = {"name": "node-0", "origin_unix_s": 1000.4,
-            "tracer_id": "n" * 16,
-            "events": [wall_event("service.submit", 0.2, 0.5, TRACE,
-                                  "bbbb0000", parent="aaaa0000",
-                                  proc="node-0")]}
-    return gateway, node
-
-
-class TestMergeProcessTraces:
-    def test_rebases_onto_shared_origin(self):
-        gateway, node = two_process_fleet()
-        merged = merge_process_traces([gateway, node],
-                                      base_origin_unix_s=1000.0)
-        spans = span_index(merged["traceEvents"], TRACE)
-        assert spans["aaaa0000"]["ts"] == pytest.approx(0.5e6)
-        assert spans["bbbb0000"]["ts"] == pytest.approx(0.6e6)
-
-    def test_containment_regression_requires_the_rebase(self):
-        # The satellite fix: naively concatenating per-process events
-        # (what the fleet trace verb used to do) breaks parent/child
-        # nesting across process boundaries; the merged view holds it.
-        gateway, node = two_process_fleet()
-        naive = gateway["events"] + node["events"]
-        with pytest.raises(AssertionError):
-            assert_span_containment(naive, TRACE)
-        merged = merge_process_traces([gateway, node],
-                                      base_origin_unix_s=1000.0)
-        assert assert_span_containment(merged["traceEvents"], TRACE) == 1
-
-    def test_containment_slack_is_honoured(self):
-        gateway, node = two_process_fleet()
-        # Stretch the child 0.03s past its parent's end: within the
-        # default 50ms skew slack, outside a tightened one.
-        node["events"][0]["dur"] = 0.93e6
-        merged = merge_process_traces([gateway, node],
-                                      base_origin_unix_s=1000.0)
-        assert assert_span_containment(merged["traceEvents"], TRACE) == 1
-        with pytest.raises(AssertionError):
-            assert_span_containment(merged["traceEvents"], TRACE,
-                                    slack_us=1_000.0)
-
-    def test_dedup_by_tracer_id(self):
-        # An in-process fleet answers the fan-out with the same global
-        # tracer behind every node: merge each buffer exactly once.
-        gateway, _ = two_process_fleet()
-        twin = dict(gateway, name="node-0")
-        merged = merge_process_traces([gateway, twin],
-                                      base_origin_unix_s=1000.0)
-        spans = [e for e in merged["traceEvents"]
-                 if e.get("ph") == PHASE_COMPLETE]
-        assert len(spans) == 1
-
-    def test_lanes_grouped_by_args_proc(self):
-        gateway, node = two_process_fleet()
-        worker = wall_event("worker.execute", 0.3, 0.1, TRACE, "cccc0000",
-                            parent="bbbb0000", proc="worker:w0")
-        node["events"].append(worker)
-        merged = merge_process_traces([gateway, node],
-                                      base_origin_unix_s=1000.0)
-        names = {e["args"]["name"] for e in merged["traceEvents"]
-                 if e.get("ph") == "M"}
-        assert names == {"gateway", "node-0", "worker:w0"}
-        assert merged["otherData"]["n_processes"] == 3
-
-    def test_sim_track_and_metadata_excluded(self):
-        gateway, _ = two_process_fleet()
-        gateway["events"].append(wall_event(
-            "sim only", 0.1, 0.1, TRACE, "dddd0000", pid=TRACK_SIM))
-        gateway["events"].append({"name": "process_name", "ph": "M",
-                                  "pid": TRACK_WALL, "args": {}})
-        merged = merge_process_traces([gateway],
-                                      base_origin_unix_s=1000.0)
-        spans = span_index(merged["traceEvents"])
-        assert set(spans) == {"aaaa0000"}
-
-    def test_missing_origin_falls_back_to_base(self):
-        gateway, node = two_process_fleet()
-        del node["origin_unix_s"]
-        merged = merge_process_traces([gateway, node],
-                                      base_origin_unix_s=1000.0)
-        spans = span_index(merged["traceEvents"], TRACE)
-        assert spans["bbbb0000"]["ts"] == pytest.approx(0.2e6)
-
-
 class TestSpanAssertions:
     def test_trace_ids_in(self):
         events = [wall_event("a", 0, 0.1, "t1" * 8, "s1s1s1s1"),
@@ -204,3 +108,23 @@ class TestSpanAssertions:
                              parent="aaaa0000")]
         assert orphan_spans(events, "b" * 16)[0]["name"] == "kid"
         assert span_tree(events, "a" * 16)["children"] == {}
+
+    def test_containment_checks_every_child(self):
+        events = [wall_event("root", 0.5, 1.0, TRACE, "aaaa0000"),
+                  wall_event("kid", 0.6, 0.5, TRACE, "bbbb0000",
+                             parent="aaaa0000")]
+        assert assert_span_containment(events, TRACE) == 1
+        # A child starting before its parent escapes it.
+        events[1]["ts"] = 0.2e6
+        with pytest.raises(AssertionError):
+            assert_span_containment(events, TRACE)
+
+    def test_containment_slack_is_honoured(self):
+        # The child ends 0.03s past its parent: within the default
+        # 50ms slack, outside a tightened one.
+        events = [wall_event("root", 0.5, 1.0, TRACE, "aaaa0000"),
+                  wall_event("kid", 0.6, 0.93, TRACE, "bbbb0000",
+                             parent="aaaa0000")]
+        assert assert_span_containment(events, TRACE) == 1
+        with pytest.raises(AssertionError):
+            assert_span_containment(events, TRACE, slack_us=1_000.0)

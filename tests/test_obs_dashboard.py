@@ -10,7 +10,7 @@ from repro.obs.dashboard import (
     sparkline_svg,
 )
 from repro.obs.slo import SLO, BurnRatePolicy, SLOMonitor
-from repro.obs.smoke import aggregate_snapshots, validate_dashboard_html
+from repro.obs.smoke import validate_dashboard_html
 from repro.obs.timeseries import MetricsScraper
 from repro.testkit.clock import FakeClock
 
@@ -81,14 +81,14 @@ class TestRenderDashboard:
         page = render_obs_dashboard(
             scrapers, monitor=monitor, flight=flight,
             trace_summary={"n_processes": 4, "n_stitched_traces": 9,
-                           "path": "fleet_trace.json"},
-            title="fleet obs", window_s=10.0)
+                           "path": "trace.json"},
+            title="service obs", window_s=10.0)
         tags = validate_dashboard_html(page)
         assert tags["table"] >= 2  # targets + SLOs at minimum
         assert tags["svg"] >= 1    # sparklines
-        assert "fleet obs" in page
+        assert "service obs" in page
         assert "ab" * 8 in page    # flight exemplar listed
-        assert "fleet_trace.json" in page
+        assert "trace.json" in page
 
     def test_renders_without_optional_sections(self, scrapers):
         page = render_obs_dashboard(scrapers)
@@ -102,24 +102,3 @@ class TestRenderDashboard:
     def test_validator_rejects_missing_structure(self):
         with pytest.raises(AssertionError):
             validate_dashboard_html("<html><body>no tables</body></html>")
-
-
-class TestAggregateSnapshots:
-    def test_counters_gauges_histograms_merge(self):
-        a = snap(counters={"done": 5}, gauges={"queue_depth": 2.0},
-                 histograms={"latency_s": hist([10, 0, 0, 0])})
-        b = snap(counters={"done": 7}, gauges={"queue_depth": 1.0},
-                 histograms={"latency_s": hist([0, 0, 4, 0],
-                                               max_seen=3.0)})
-        fleet = aggregate_snapshots([a, b])
-        assert fleet["counters"]["done"] == 12
-        assert fleet["gauges"]["queue_depth"] == 3.0
-        merged = fleet["histograms"]["latency_s"]
-        assert [x["count"] for x in merged["buckets"]] == [10, 0, 4, 0]
-        assert merged["n"] == 14
-        assert merged["p95"] == 1.0  # the slow node's tail survives
-
-    def test_error_entries_skipped(self):
-        good = snap(counters={"done": 1})
-        assert aggregate_snapshots(
-            [good, {"error": "unreachable"}])["counters"]["done"] == 1

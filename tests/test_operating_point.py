@@ -62,6 +62,8 @@ class TestValidate:
         {"imul_extra_cycles": -1},
         {"imul_extra_cycles": 1.0},
         {"imul_extra_cycles": True},
+        {"cpu": "B", "strategy": "fV"},
+        {"cpu": "B", "strategy": "V"},
     ])
     def test_rejects(self, overrides):
         with pytest.raises(ValueError):

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.suit import KNOWN_STRATEGIES
+from repro.core.suit import KNOWN_STRATEGIES, VOLTAGE_STRATEGIES
 from repro.hardware.models import ALL_CPU_FACTORIES
 from repro.service.request import (
     STATUS_OK,
@@ -43,12 +43,19 @@ _NAME_ALPHABET = string.ascii_letters + string.digits + "._-"
 _CORES = {name: factory().topology.n_cores
           for name, factory in ALL_CPU_FACTORIES.items()}
 
+#: Strategies per CPU: one without a voltage rail takes only f and e.
+_STRATEGIES = {
+    name: (KNOWN_STRATEGIES if factory().transitions.voltage is not None
+           else tuple(s for s in KNOWN_STRATEGIES
+                      if s not in VOLTAGE_STRATEGIES))
+    for name, factory in ALL_CPU_FACTORIES.items()}
+
 valid_requests = st.sampled_from(sorted(_CORES)).flatmap(
     lambda cpu: st.builds(
         SimRequest,
         cpu=st.just(cpu),
         workload=st.text(alphabet=_NAME_ALPHABET, min_size=1, max_size=16),
-        strategy=st.sampled_from(KNOWN_STRATEGIES),
+        strategy=st.sampled_from(_STRATEGIES[cpu]),
         voltage_offset=st.floats(min_value=-0.3, max_value=0.0,
                                  exclude_max=True),
         seed=st.integers(min_value=0, max_value=2**31),
@@ -116,6 +123,7 @@ class TestRequestProperties:
         ("deadline_s", 0.0), ("deadline_s", -1.0),
         ("voltage_offset", 0.0), ("voltage_offset", float("nan")),
         ("voltage_offset", float("-inf")), ("cpu", "Z"), ("n_cores", 9),
+        ("deadline_s", float("nan")), ("deadline_s", float("inf")),
     ]))
     @FUZZ
     def test_single_field_corruption_rejected(self, request, corruption):

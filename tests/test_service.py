@@ -90,6 +90,11 @@ class TestSimRequest:
         {"voltage_offset": float("-inf")},
         {"cpu": "Z"},
         {"n_cores": 9},
+        # CPU B has no voltage rail: only f and e run there.
+        {"cpu": "B", "strategy": "fV"},
+        {"cpu": "B", "strategy": "V"},
+        {"deadline_s": float("nan")},
+        {"deadline_s": float("inf")},
     ])
     def test_validate_rejects(self, kwargs):
         base = {"cpu": "C", "workload": "557.xz"}

@@ -202,6 +202,27 @@ class TestBackpressure:
         assert snapshot["counters"]["requests_invalid"] == 1
         assert snapshot["counters"].get("simulations_executed", 0) == 0
 
+    def test_boundary_rules_refused_at_submit(self):
+        # No voltage rail on CPU B; a deadline must be finite.
+        bad = [SimRequest("B", "557.xz", strategy="fV"),
+               SimRequest("B", "557.xz", strategy="V"),
+               SimRequest("C", "557.xz", deadline_s=float("nan")),
+               SimRequest("C", "557.xz", deadline_s=float("inf"))]
+
+        async def scenario():
+            async with SimulationService(
+                    ServiceConfig(**THREAD_CONFIG)) as service:
+                responses = [await service.submit(r) for r in bad]
+                return responses, service.metrics.snapshot()
+
+        responses, snapshot = run(scenario())
+        assert [r.status for r in responses] == ["failed"] * len(bad)
+        assert all("\n" not in r.error for r in responses)
+        assert "no voltage control" in responses[0].error
+        assert "deadline_s" in responses[2].error
+        assert snapshot["counters"]["requests_invalid"] == len(bad)
+        assert snapshot["counters"].get("simulations_executed", 0) == 0
+
     def test_unknown_workload_fails_in_worker(self):
         async def scenario():
             async with SimulationService(
