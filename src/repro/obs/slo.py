@@ -6,7 +6,8 @@ An :class:`SLO` states an objective over a window of traffic:
   ``ok`` (errors = failed + timed out);
 * **latency** — at least ``objective`` of requests finish within
   ``latency_threshold_s`` (measured against the windowed ``latency_s``
-  histogram, threshold snapped to a bucket bound).
+  histogram; the bucket that straddles the threshold counts as fast in
+  proportion to the part of it below the threshold).
 
 The alerting math is the standard SRE burn rate: with error budget
 ``1 - objective``,
@@ -231,7 +232,14 @@ class SLOMonitor:
 
     def error_rate(self, slo: SLO, window_s: float) -> Optional[float]:
         """The fraction of the window's traffic that violated *slo*
-        (None when the window saw no traffic)."""
+        (None when the window saw no traffic).
+
+        A latency SLO's threshold rarely falls on a bucket bound; the
+        bucket ``(lower, le]`` holding it counts
+        ``(threshold - lower) / (le - lower)`` of its requests as fast,
+        as if they were spread evenly across it.  The overflow bucket
+        counts as slow.
+        """
         if slo.latency_threshold_s is None:
             bad = 0.0
             for name in BAD_COUNTERS:
@@ -242,14 +250,22 @@ class SLOMonitor:
         hist = self.scraper.windowed_histogram(slo.metric, window_s)
         if not hist:
             return None
+        threshold = slo.latency_threshold_s
         total = 0
-        fast_enough = 0
+        fast_enough = 0.0
+        lower = 0.0
         for bucket in hist.get("buckets") or []:
             count = int(bucket.get("count", 0))
             total += count
             le = bucket.get("le")
-            if le is not None and float(le) <= slo.latency_threshold_s:
+            if le is None:  # overflow: no upper bound to interpolate to
+                continue
+            upper = float(le)
+            if upper <= threshold:
                 fast_enough += count
+            elif lower < threshold:  # straddles: linear within bucket
+                fast_enough += count * (threshold - lower) / (upper - lower)
+            lower = upper
         if total == 0:
             return None
         return 1.0 - fast_enough / total

@@ -17,11 +17,16 @@ workers and concurrent engine invocations can share one cache directory
 without torn entries.  A corrupt or unreadable entry is treated as a
 miss and overwritten.
 
-The cache can be **size-bounded**: construct with ``max_bytes`` (or run
-``python -m repro.runtime.cache --prune``) and the least-recently-used
-entries are deleted until the directory fits the cap.  Recency is the
-entry file's mtime — refreshed on every :meth:`ResultCache.get` hit —
-so a long-lived service keeps its hot results and sheds cold sweeps.
+The cache can be **size-bounded**: construct with ``max_bytes`` and a
+put that takes the directory past the cap deletes least-recently-used
+entries down to :data:`LOW_WATER_FRACTION` of it; ``python -m
+repro.runtime.cache --prune`` deletes down to a given cap offline.
+Recency is the entry file's mtime — refreshed on every
+:meth:`ResultCache.get` hit — so a long-lived service keeps its hot
+results and sheds cold sweeps.  A capped cache scans the directory once
+when it opens and then keeps a running byte total, so a put under the
+cap lists nothing; the scan at the cap counts what other processes
+wrote to the same directory.
 """
 
 from __future__ import annotations
@@ -45,6 +50,10 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: Default size cap applied by ``python -m repro.runtime.cache --prune``.
 DEFAULT_PRUNE_MAX_BYTES = 1 << 30
+
+#: A put that takes a capped cache past its cap prunes it down to this
+#: fraction of the cap, leaving room for puts before the next scan.
+LOW_WATER_FRACTION = 0.9
 
 
 def _count_corrupt_entry() -> None:
@@ -157,8 +166,10 @@ class ResultCache:
 
     Args:
         root: cache directory (default :func:`default_cache_dir`).
-        max_bytes: optional size cap; when set, every :meth:`put`
-            LRU-prunes the directory back under the cap.
+        max_bytes: optional size cap; when set, the directory is
+            scanned once here, and a :meth:`put` that takes the running
+            byte total past the cap LRU-prunes down to
+            :data:`LOW_WATER_FRACTION` of it.
     """
 
     def __init__(self, root: Optional[Path] = None,
@@ -168,6 +179,9 @@ class ResultCache:
         if max_bytes is not None and max_bytes < 0:
             raise ValueError("max_bytes must be >= 0")
         self.max_bytes = max_bytes
+        # Bytes on disk as of the last scan, plus every put since.
+        self._tracked_bytes = (self.total_bytes()
+                               if max_bytes is not None else 0)
 
     def path_for(self, key: str) -> Path:
         """Path of the entry addressed by *key*."""
@@ -217,18 +231,20 @@ class ResultCache:
     def put(self, key: str, payload: dict) -> Path:
         """Atomically store *payload* under *key*; returns the entry path.
 
-        When the cache is size-bounded, pruning runs after the write so
-        the new entry itself is counted (and, being newest, survives).
+        When the cache is size-bounded and this write takes the running
+        total past the cap, pruning runs after the write, so the new
+        entry itself is counted (and, being newest, survives).
         """
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.path_for(key)
         inject("cache.put", path=path)
         entry = {"cache_schema": CACHE_SCHEMA_VERSION, "key": key,
                  "payload": payload}
+        data = json.dumps(entry, sort_keys=True).encode("utf-8")
         fd, tmp_name = tempfile.mkstemp(dir=str(self.root), suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(entry, handle, sort_keys=True)
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -237,7 +253,9 @@ class ResultCache:
                 pass
             raise
         if self.max_bytes is not None:
-            self.prune()
+            self._tracked_bytes += len(data)
+            if self._tracked_bytes > self.max_bytes:
+                self.prune(int(self.max_bytes * LOW_WATER_FRACTION))
         return path
 
     def entries(self) -> List[Tuple[Path, float, int]]:
@@ -260,6 +278,9 @@ class ResultCache:
 
     def prune(self, max_bytes: Optional[int] = None) -> int:
         """Delete least-recently-used entries until the cap fits.
+
+        The scan also resets a capped cache's running byte total to what
+        is left on disk, other processes' entries included.
 
         Args:
             max_bytes: cap to enforce; defaults to the instance's
@@ -284,6 +305,7 @@ class ResultCache:
                 continue  # already gone: someone else pruned it
             total -= size
             removed += 1
+        self._tracked_bytes = total
         return removed
 
     def clear(self) -> int:

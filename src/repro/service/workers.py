@@ -270,16 +270,18 @@ class ShardedWorkerTier:
         last_error: Optional[BaseException] = None
         for attempt in range(self.max_retries + 1):
             pool = self._pool(index)
-            for kind in inject("workers.dispatch", shard=index,
-                               size=len(requests)):
-                if kind == "kill_worker" and self.use_processes:
-                    # Hard-kill one pool worker right before the batch
-                    # lands on it: the canonical mid-batch crash.  The
-                    # thread tier has no process to kill, so the fault
-                    # is a no-op there by design.
-                    pool.submit(os._exit, CRASH_EXIT_CODE)
-            future: Future = pool.submit(execute_batch, requests)
             try:
+                for kind in inject("workers.dispatch", shard=index,
+                                   size=len(requests)):
+                    if kind == "kill_worker" and self.use_processes:
+                        # Hard-kill one pool worker right before the
+                        # batch lands on it: the canonical mid-batch
+                        # crash.  The thread tier has no process to
+                        # kill, so the fault is a no-op there by design.
+                        pool.submit(os._exit, CRASH_EXIT_CODE)
+                # A pool whose worker died after the previous batch
+                # finished refuses the submit itself: recycle it too.
+                future: Future = pool.submit(execute_batch, requests)
                 outcomes = await asyncio.wait_for(
                     asyncio.wrap_future(future), timeout_s)
                 return outcomes, attempt

@@ -4,10 +4,11 @@ by the differential oracle.
 One :class:`ChaosSoak` run is the acceptance experiment of the whole
 harness: build a deterministic :class:`~repro.testkit.chaos.FaultPlan`
 from a seed, activate it, start a real :class:`SimulationService`
-(worker pools, micro-batching, shared trace store, on-disk result
-cache — the full production wiring), then drive the oracle's canonical
-request set through it over and over while workers are killed, shm
-segments unlink under their readers and cache entries rot on disk.
+(worker pools, micro-batching, shared trace store, size-capped on-disk
+result cache — the full production wiring), then drive the oracle's
+canonical request set through it over and over while workers are
+killed, shm segments unlink under their readers, cache entries rot on
+disk and the cache prunes itself.
 
 The verdict is binary: explicit failures (rejected / failed / timeout)
 are *degraded service* and acceptable; an ``ok`` answer that differs
@@ -30,6 +31,10 @@ from typing import List, Optional
 
 from repro.testkit.chaos import ChaosController, FaultPlan, FaultSpec
 from repro.testkit.oracle import ChannelReport, DifferentialOracle
+
+#: Size cap of the soak's result cache: about four service answers, so
+#: every pass takes the cache past it and LRU pruning runs under chaos.
+CACHE_MAX_BYTES = 2048
 
 
 @dataclass
@@ -190,7 +195,8 @@ class ChaosSoak:
                         share_traces=True,
                         batch_window_s=0.002,
                         default_timeout_s=20.0),
-                    cache=ResultCache(Path(cache_dir)))
+                    cache=ResultCache(Path(cache_dir),
+                                      max_bytes=CACHE_MAX_BYTES))
                 try:
                     await service.start()
                     while True:

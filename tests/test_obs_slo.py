@@ -118,6 +118,45 @@ class TestLatencyBurn:
         assert alert.fast_burn > first_burn
 
 
+class TestThresholdBetweenBounds:
+    """A threshold inside a bucket is judged at its own value, not at
+    the bucket bound below it."""
+
+    @staticmethod
+    def _window(scraper, clock, counts, bounds):
+        scraper.ingest(snap(histograms={
+            "latency_s": hist([0] * len(counts), bounds=bounds)}))
+        clock.advance(1.0)
+        scraper.ingest(snap(histograms={
+            "latency_s": hist(counts, bounds=bounds)}))
+
+    def test_straddling_bucket_is_interpolated(self, scraper, clock):
+        from repro.obs.registry import latency_bounds
+
+        bounds = latency_bounds()
+        counts = [0] * (len(bounds) + 1)
+        counts[bounds.index(0.0512)] = 100  # all in (25.6, 51.2] ms
+        self._window(scraper, clock, counts, bounds)
+        monitor = latency_monitor(scraper, clock, threshold=0.05)
+        rate = monitor.error_rate(monitor.slos[0], 5.0)
+        # (51.2 - 50) / (51.2 - 25.6) of the bucket lies past 50 ms.
+        assert rate == pytest.approx(1.2 / 25.6)
+        assert rate == pytest.approx(0.047, abs=5e-4)
+
+    def test_threshold_in_first_bucket_interpolates_from_zero(
+            self, scraper, clock):
+        self._window(scraper, clock, [10, 0, 0, 0], (0.01, 0.1, 1.0))
+        monitor = latency_monitor(scraper, clock, threshold=0.004)
+        assert monitor.error_rate(monitor.slos[0], 5.0) \
+            == pytest.approx(0.6)
+
+    def test_overflow_bucket_counts_as_slow(self, scraper, clock):
+        self._window(scraper, clock, [1, 0, 0, 3], (0.01, 0.1, 1.0))
+        monitor = latency_monitor(scraper, clock, threshold=5.0)
+        assert monitor.error_rate(monitor.slos[0], 5.0) \
+            == pytest.approx(0.75)
+
+
 class TestAvailabilityBurn:
     def test_fires_on_failed_fraction(self, scraper, clock):
         monitor = SLOMonitor(

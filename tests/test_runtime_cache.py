@@ -85,6 +85,85 @@ class TestLruPrune:
             ResultCache(tmp_path, max_bytes=-1)
 
 
+#: One entry's payload; with equal-length keys every entry has one size.
+PAYLOAD = {"blob": "y" * 100}
+
+
+class TestRunningTotal:
+    """A capped cache lists its directory when it opens and when a put
+    crosses the cap, never on the puts in between."""
+
+    @pytest.fixture()
+    def scans(self, monkeypatch):
+        calls = []
+        real = ResultCache.entries
+
+        def counted(self):
+            calls.append(self.root)
+            return real(self)
+
+        monkeypatch.setattr(ResultCache, "entries", counted)
+        return calls
+
+    @pytest.fixture()
+    def size(self, tmp_path):
+        """On-disk bytes of one ``PAYLOAD`` entry with a 3-char key."""
+        return ResultCache(tmp_path / "probe").put(
+            "k00", PAYLOAD).stat().st_size
+
+    def test_puts_under_the_cap_scan_once(self, tmp_path, scans):
+        cache = ResultCache(tmp_path, max_bytes=1 << 20)
+        for i in range(50):
+            cache.put(f"k{i:02d}", PAYLOAD)
+        assert scans == [tmp_path]  # the opening scan only
+        assert cache._tracked_bytes == cache.total_bytes()
+
+    def test_crossing_prunes_to_low_water_and_fires_site(self, tmp_path,
+                                                         size):
+        from repro.runtime.cache import LOW_WATER_FRACTION
+        from repro.testkit.chaos import (ChaosController, FaultPlan,
+                                         FaultSpec)
+
+        cap = 10 * size
+        cache = ResultCache(tmp_path / "c", max_bytes=cap)
+        plan = FaultPlan.generate(
+            0, [FaultSpec("cache.prune", "sleep", 1.0, param=0.0)], 10)
+        with ChaosController(plan) as controller:
+            for i in range(10):  # exactly at the cap: no prune yet
+                cache.put(f"k{i:02d}", PAYLOAD)
+                ts = time.time() - (100 - i)
+                os.utime(cache.path_for(f"k{i:02d}"), (ts, ts))
+            assert controller.fired() == []
+            assert len(cache) == 10
+            cache.put("k10", PAYLOAD)
+            fired = [entry["site"] for entry in controller.fired()]
+        assert fired == ["cache.prune"]
+        assert cache.total_bytes() == 9 * size <= LOW_WATER_FRACTION * cap
+        assert cache.get("k00") is None and cache.get("k01") is None
+        assert cache.get("k10") is not None  # the newest survives
+        assert cache._tracked_bytes == 9 * size
+
+    def test_other_writers_counted_at_the_next_scan(self, tmp_path, size,
+                                                    scans):
+        root = tmp_path / "c"
+        first = ResultCache(root, max_bytes=10 * size)
+        other = ResultCache(root)  # e.g. another service process
+        for i in range(6):
+            other.put(f"b{i:02d}", PAYLOAD)
+        for i in range(10):  # under the cap by the first cache's count
+            first.put(f"a{i:02d}", PAYLOAD)
+        assert len(scans) == 1  # 16 entries on disk, not seen yet
+        first.put("a10", PAYLOAD)  # its own count crosses: scan
+        assert len(scans) == 2
+        assert first._tracked_bytes == 9 * size  # the other's included
+        # Counting the other writer's bytes brings the next scan two
+        # puts away, not ten.
+        first.put("a11", PAYLOAD)
+        assert len(scans) == 2
+        first.put("a12", PAYLOAD)
+        assert len(scans) == 3
+
+
 class TestCacheCli:
     def test_stats(self, tmp_path, capsys):
         cache = ResultCache(tmp_path)

@@ -28,6 +28,7 @@ from repro.service import (
     SimulationService,
     start_tcp_server,
 )
+from repro.testkit.clock import FakeClock
 
 #: Thread-tier config: full concurrency semantics, no process spawn cost.
 THREAD_CONFIG = dict(use_processes=False, n_shards=2, workers_per_shard=2,
@@ -94,6 +95,33 @@ class TestConcurrentClients:
         occupancy = snapshot["histograms"]["batch_occupancy"]
         assert occupancy["max"] >= 2
 
+    def test_lone_requests_skip_the_window(self):
+        """One client sending one request at a time leaves nothing else
+        in flight, so no batch waits.  The clock never advances by
+        itself here: a held 5 s window would hang the request."""
+        async def scenario():
+            clock = FakeClock(auto_advance=False)
+            service = SimulationService(
+                ServiceConfig(use_processes=False, n_shards=1,
+                              workers_per_shard=1, batch_window_s=5.0),
+                clock=clock)
+            await service.start()
+            try:
+                responses = [
+                    await asyncio.wait_for(
+                        service.submit(SimRequest("C", "557.xz", seed=i)),
+                        timeout=60.0)
+                    for i in range(3)]
+                sleeps = clock.sleep_calls
+            finally:
+                clock.auto_advance = True  # stop() polls its drain
+                await service.stop()
+            return responses, sleeps
+
+        responses, sleeps = run(scenario())
+        assert all(r.ok for r in responses)
+        assert sleeps == 0
+
 
 class TestDedup:
     def test_identical_inflight_requests_run_once(self):
@@ -150,6 +178,35 @@ class TestWorkerCrashRetry:
         assert response.retries >= 1
         assert snapshot["counters"]["worker_restarts"] >= 1
         assert snapshot["counters"]["batch_retries"] >= 1
+
+    def test_pool_broken_between_batches_is_recycled(self):
+        """A worker that dies after its batch finished leaves a pool
+        that refuses the next submit outright; the tier recycles it and
+        retries, instead of leaving that batch (and every later one on
+        the shard) unanswered until the requests time out."""
+        import os
+        from concurrent.futures import BrokenExecutor
+
+        async def scenario():
+            config = ServiceConfig(use_processes=True, n_shards=1,
+                                   workers_per_shard=1, max_retries=2,
+                                   retry_backoff_s=0.02,
+                                   batch_window_s=0.0,
+                                   default_timeout_s=30.0)
+            async with SimulationService(config) as service:
+                first = await service.submit(SimRequest("C", "557.xz"))
+                death = service.tier._pool(0).submit(os._exit, 3)
+                with pytest.raises(BrokenExecutor):
+                    await asyncio.wrap_future(death)
+                second = await service.submit(
+                    SimRequest("C", "557.xz", seed=1))
+                return first, second, service.metrics.snapshot()
+
+        first, second, snapshot = run(scenario())
+        assert first.ok and first.retries == 0
+        assert second.ok, second.error
+        assert second.retries == 1
+        assert snapshot["counters"]["worker_restarts"] == 1
 
     def test_real_simulation_on_process_tier(self):
         async def scenario():

@@ -173,3 +173,24 @@ class TestChaosSoak:
             == report["summary"]["injected"]
         assert report["fault_schedule"] == cfg.build_plan().to_json_dict()
         assert report["service_metrics"]["requests_submitted"] == 8
+
+    def test_one_pass_crosses_the_cache_cap(self, monkeypatch):
+        """The soak's cache is capped, so pruning runs under chaos."""
+        import repro.runtime.cache as cache_module
+
+        sites = []
+        real_inject = cache_module.inject
+
+        def spy(site, **ctx):
+            sites.append(site)
+            return real_inject(site, **ctx)
+
+        monkeypatch.setattr(cache_module, "inject", spy)
+        cfg = SoakConfig(seed=13, passes=1, n_requests=4,
+                         use_processes=False, worker_kill_rate=0.0,
+                         shm_unlink_rate=0.0, manifest_corrupt_rate=0.0,
+                         cache_corrupt_rate=0.3, admission_reject_rate=0.0,
+                         horizon=2000, n_shards=1, workers_per_shard=2)
+        result = run(ChaosSoak(cfg).run())
+        assert result.passed and result.wrong_answers == 0
+        assert "cache.prune" in sites
