@@ -24,16 +24,19 @@ bench:
 	$(PY) -m pytest benchmarks/ --benchmark-only -q
 
 # Tiny sweep benchmark (synthetic trace; single-config runs must cost
-# at most 2x a sweep per config) plus the suites it depends on: the
-# recorded-output regressions of the simulator and of trace synthesis,
-# sweep semantics, the workload unit tests, and the suites of the
-# callers that group points into sweeps (the service worker's batches
-# and the DSE's generations); the CI companion of the full
-# `pytest benchmarks/test_sweep_bench.py` run that writes
+# at most 2x a sweep per config; the replay-cost sweep must repeat its
+# results) plus the suites it depends on: the recorded-output
+# regressions of the simulator and of trace synthesis, the exactness
+# of the simulator's buffered draws and clipping, sweep semantics, the
+# workload unit tests, and the suites of the callers that group points
+# into sweeps (the service worker's batches and the DSE's
+# generations); the CI companion of the full
+# `pytest benchmarks/test_sweep_bench.py` run that appends to
 # BENCH_simulator.json (see docs/performance.md).
 bench-smoke:
 	REPRO_BENCH_SMOKE=1 $(PY) -m pytest benchmarks/test_sweep_bench.py -x -q
 	$(PY) -m pytest tests/test_sim_regression.py tests/test_batchsim_equivalence.py \
+		tests/test_simulator_exactness.py \
 		tests/test_trace_regression.py tests/test_workloads.py \
 		tests/test_service_vector.py tests/test_dse.py -x -q
 

@@ -21,12 +21,20 @@ most twice the sweep's.  A single-config path that rescans the gap
 array instead of using the block index fails it (such a path measured
 about 7.6x on the full workload).
 
-The measurement is written to ``BENCH_simulator.json`` at the repo
-root, with the config count, each side's wall seconds and the ratio.
+A second test measures the replay cost itself: one ``simulate_sweep``
+of 525.x264 (the ``dse`` benchmark workload's trace) on CPU C over
+``fV``/``f``/``V`` x 11 offsets, best of three, results ``==`` across
+the runs, recorded as wall milliseconds per config.
+
+Each test appends one record to ``BENCH_simulator.json`` at the repo
+root, a JSON list kept as a trajectory.  A record names its benchmark
+and measurements, the git sha of the checkout (and whether its
+``src/`` had uncommitted changes) and the host: core count, Python and
+NumPy versions.
 
 ``REPRO_BENCH_SMOKE=1`` (the ``make bench-smoke`` CI hook) shrinks the
-sweep to a small synthetic trace, checks the same bound, and leaves the
-committed JSON untouched.
+first sweep to a small synthetic trace, checks the same bound and the
+replay test's ``==``, and writes nothing.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import subprocess
 import time
 from pathlib import Path
 
@@ -50,10 +59,12 @@ from repro.runtime.serialization import jsonify
 from repro.workloads.generator import generate_trace
 from repro.workloads.network import NGINX_PROFILE
 from repro.workloads.profile import WorkloadProfile
+from repro.workloads.resolve import resolve_profile
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_simulator.json"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_PATH = ROOT / "BENCH_simulator.json"
 
 #: Separate runs may cost at most this multiple of a sweep, per config.
 MAX_PER_CONFIG_RATIO = 2.0
@@ -88,6 +99,35 @@ def _best_of_three(run, trace):
     return best, results
 
 
+def _git(*args: str) -> str:
+    try:
+        proc = subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
+                              text=True, timeout=30)
+    except (OSError, subprocess.SubprocessError):
+        return ""
+    return proc.stdout.strip() if proc.returncode == 0 else ""
+
+
+def _append_record(benchmark: str, measured: dict) -> None:
+    """Print the record and, in a full run, append it to the ledger."""
+    record = {
+        "benchmark": benchmark,
+        **measured,
+        "git_sha": _git("rev-parse", "HEAD") or "unknown",
+        "src_dirty": bool(_git("status", "--porcelain", "--", "src")),
+        "host": {"nproc": os.cpu_count(),
+                 "python": platform.python_version(),
+                 "numpy": np.__version__},
+        "smoke": SMOKE,
+    }
+    print(json.dumps(record, indent=2))
+    if SMOKE:
+        return
+    records = json.loads(BENCH_PATH.read_text()) if BENCH_PATH.exists() else []
+    records.append(record)
+    BENCH_PATH.write_text(json.dumps(records, indent=2) + "\n")
+
+
 def test_single_config_runs_cost_what_a_sweep_costs():
     cpu = cpu_c_xeon_4208()
     params = default_params_for(cpu.vendor)
@@ -110,24 +150,43 @@ def test_single_config_runs_cost_what_a_sweep_costs():
     assert jsonify(separate_results) == jsonify(sweep_results)
 
     ratio = separate_s / sweep_s
-    record = {
-        "benchmark": "single_config_runs_vs_sweep",
+    _append_record("single_config_runs_vs_sweep", {
         "workload": profile.name,
         "n_events": int(trace.n_events),
         "n_configs": len(configs),
         "separate_wall_s": round(separate_s, 3),
         "sweep_wall_s": round(sweep_s, 3),
         "per_config_ratio": round(ratio, 2),
-        "host": {"nproc": os.cpu_count(),
-                 "python": platform.python_version(),
-                 "numpy": np.__version__},
-        "smoke": SMOKE,
-    }
-    print(json.dumps(record, indent=2))
-    if not SMOKE:
-        BENCH_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    })
     assert ratio <= MAX_PER_CONFIG_RATIO, (
         f"separate runs cost {ratio:.2f}x a sweep per config")
+
+
+def test_replay_cost_per_config():
+    """Wall time per config of one sweep over a small SPEC trace, where
+    the per-event Python path, not the gap search, is the cost."""
+    cpu = cpu_c_xeon_4208()
+    profile = resolve_profile("525.x264")
+    trace = generate_trace(profile, seed=0)
+    configs = [SweepConfig(strategy=s, voltage_offset=-0.050 - 0.010 * i)
+               for s in ("fV", "f", "V") for i in range(11)]
+
+    runs = []
+    for _ in range(3):
+        start = time.perf_counter()
+        results = simulate_sweep(cpu, profile, trace, configs)
+        runs.append((time.perf_counter() - start, jsonify(results)))
+    assert all(payload == runs[0][1] for _, payload in runs)
+
+    best_s = min(wall for wall, _ in runs)
+    _append_record("replay_cost", {
+        "workload": profile.name,
+        "cpu": cpu.name,
+        "n_events": int(trace.n_events),
+        "n_configs": len(configs),
+        "wall_s": round(best_s, 4),
+        "ms_per_config": round(best_s * 1e3 / len(configs), 3),
+    })
 
 
 @pytest.mark.skipif(SMOKE, reason="store fan-out timing is full-mode only")

@@ -23,6 +23,13 @@ The execution tracer and the state timeline are optional sinks.  When
 off, each emission site costs one ``is not None`` check.  Neither sink
 changes a run's RNG draws or arithmetic, so a traced run returns the
 same result as an untraced one.
+
+The per-event path is plain Python, so it avoids interpreter work that
+does not change a result: delays come from a :class:`NormalStream`
+(block draws, bit-identical to a seeded ``Generator.normal``), each
+p-state's rate, power and label are cached when the state changes, and
+comparisons stand in for ``min``/``max`` (returning the same values,
+NaN included).
 """
 
 from __future__ import annotations
@@ -51,6 +58,53 @@ _MAX_GAP = 2 ** 62
 
 _BLOCK_SHIFT = 12
 _BLOCK = 1 << _BLOCK_SHIFT  # gap-index block size (events)
+
+_E, _CF, _CV = SuitState.E, SuitState.CF, SuitState.CV
+
+
+class NormalStream:
+    """A seeded source of normal draws, read from buffered blocks.
+
+    ``normal(loc, scale)`` returns exactly what
+    ``np.random.default_rng(seed).normal(loc, scale)`` would return at
+    the same point of the sequence, at about a quarter of the call cost.
+    ``Generator.normal`` computes ``loc + scale * z`` (two IEEE
+    operations, rounded the same way here) from the next standard
+    normal *z*, and ``Generator.standard_normal(size)`` yields the same
+    *z* sequence as that many scalar draws; so the stream draws *z* in
+    blocks of :attr:`BLOCK`, keeps them as Python floats and does the
+    arithmetic itself.  A sized draw uses the buffered values first.
+    The generator runs ahead of the draws by up to a block, so nothing
+    else may draw from it.
+    """
+
+    #: Standard normals drawn per refill.
+    BLOCK = 64
+
+    __slots__ = ("_gen", "_buf", "_i")
+
+    def __init__(self, seed: int) -> None:
+        self._gen = np.random.default_rng(seed)
+        self._buf: List[float] = []
+        self._i = 0
+
+    def normal(self, loc: float, scale: float,
+               size: Optional[int] = None):
+        """``loc + scale * z``: a float, or an array of *size* draws."""
+        i = self._i
+        buf = self._buf
+        if size is None:
+            if i == len(buf):
+                buf = self._buf = self._gen.standard_normal(
+                    self.BLOCK).tolist()
+                i = 0
+            self._i = i + 1
+            return loc + scale * buf[i]
+        z = np.array(buf[i:i + size], dtype=np.float64)
+        self._i = i + z.size
+        if z.size < size:
+            z = np.concatenate((z, self._gen.standard_normal(size - z.size)))
+        return loc + scale * z
 
 
 class TraceEpisode:
@@ -109,7 +163,7 @@ class TraceEpisode:
             m = end - lo
             if m > 0:
                 big = np.greater(gaps[lo:end], threshold, out=buf[:m])
-                k = int(np.argmax(big))
+                k = int(big.argmax())
                 if big[k]:
                     return lo + k
             i += 1
@@ -138,7 +192,9 @@ class TraceSimulator(CpuControl):
         trace: the faultable-instruction trace to execute.
         strategy: operating strategy (drives this object as CpuControl).
         voltage_offset: efficient-curve offset in volts (negative).
-        seed: RNG seed for sampled delays.
+        seed: seed of the run's :class:`NormalStream`, from which every
+            sampled delay is drawn; the draws equal those of
+            ``np.random.default_rng(seed).normal``, bit for bit.
         record_timeline: record (time, state) transitions for figures.
         imul_extra_cycles: IMUL hardening depth in extra pipeline
             cycles (section 6.1).  Its latency tax scales the duration,
@@ -165,7 +221,8 @@ class TraceSimulator(CpuControl):
         self.strategy = strategy
         self.voltage_offset = voltage_offset
         self.imul_extra_cycles = imul_extra_cycles
-        self._rng = np.random.default_rng(seed)
+        self._rng = NormalStream(seed)
+        self._n_events = trace.n_events
         # Optional sinks, None when off: one check per emission site.
         tracer = get_tracer()
         self._tracer = tracer if tracer.enabled else None
@@ -173,21 +230,25 @@ class TraceSimulator(CpuControl):
             [] if record_timeline else None)
         self._timeline_truncated = False
 
+        # Per state: (power, instruction rate, state_time label, clock).
         points = cpu.operating_points(voltage_offset)
-        self._speed = {SuitState.E: points.speed_e,
-                       SuitState.CF: points.speed_cf,
-                       SuitState.CV: points.speed_cv}
-        self._power = {SuitState.E: points.power_e,
-                       SuitState.CF: points.power_cf,
-                       SuitState.CV: points.power_cv}
-        self._instr_rate_base = trace.ipc * cpu.nominal_frequency
+        rate_base = trace.ipc * cpu.nominal_frequency
+        f_nom = cpu.nominal_frequency
+        self._consts_e = (points.power_e, rate_base * points.speed_e,
+                          _E.value, f_nom * points.speed_e)
+        self._consts_cf = (points.power_cf, rate_base * points.speed_cf,
+                           _CF.value, f_nom * points.speed_cf)
+        self._consts_cv = (points.power_cv, rate_base * points.speed_cv,
+                           _CV.value, f_nom * points.speed_cv)
 
         # Dynamic state.
         self._t = 0.0
         self._pos = 0  # instructions retired
         self._ev = 0  # next trace event
-        self._state = SuitState.E
-        self._power_now = self._power[SuitState.E]
+        self._state = _E
+        # The current state's constants (see _set_state); _power_now
+        # also lags a switch back to E until its voltage has settled.
+        self._power_now, self._rate, self._label, self._freq = self._consts_e
         self._disabled = True
         # In-flight request: (completion time, target, power_only).
         # power_only marks the switch back to E: the core runs (and is
@@ -227,14 +288,14 @@ class TraceSimulator(CpuControl):
         self._pending = None
         if target is self._state:
             return
-        if target in (SuitState.CF, SuitState.CV) and self._state in (SuitState.CF, SuitState.CV):
+        if target is not _E and self._state is not _E:
             # Already on the conservative curve (e.g. a trap raced the
             # cancelled switch-back): nothing to wait for.
-            self._set_state(target if target is SuitState.CV else self._state)
+            self._set_state(target if target is _CV else self._state)
             return
-        if target is SuitState.CF:
+        if target is _CF:
             delay, _stall = self.cpu.transitions.frequency_change(self._rng)
-        elif target is SuitState.CV:
+        elif target is _CV:
             if self.cpu.transitions.voltage is None:
                 raise ValueError(f"{self.cpu.name} has no voltage control; "
                                  "use the f or e strategy")
@@ -249,7 +310,7 @@ class TraceSimulator(CpuControl):
         """Non-blocking change request; replaces any in-flight request."""
         if target is self._state and self._pending is None:
             return
-        if target is SuitState.CV:
+        if target is _CV:
             if self.cpu.transitions.voltage is None:
                 raise ValueError(f"{self.cpu.name} has no voltage control")
             delay = self.cpu.transitions.voltage_change(self._rng)
@@ -259,11 +320,11 @@ class TraceSimulator(CpuControl):
                                       args={"target": target.value})
             self._pending = (self._t + delay, target, False)
             return
-        if target is SuitState.E:
+        if target is _E:
             # The switch back is free for execution (section 4.1: no need
             # to wait for the efficient curve); only the power improves
             # late, once the voltage has actually dropped.
-            if self._state is SuitState.CV and self.cpu.transitions.voltage is not None:
+            if self._state is _CV and self.cpu.transitions.voltage is not None:
                 delay = self.cpu.transitions.voltage_change(self._rng)
                 if self._tracer is not None:
                     self._tracer.complete("voltage settle", "sim",
@@ -273,7 +334,7 @@ class TraceSimulator(CpuControl):
             else:
                 delay, _ = self.cpu.transitions.frequency_change(self._rng)
             old_power = self._power_now
-            self._set_state(SuitState.E)
+            self._set_state(_E)
             self._power_now = old_power
             self._pending = (self._t + delay, target, True)
             return
@@ -309,9 +370,10 @@ class TraceSimulator(CpuControl):
         # The measured emulation-call delay covers both kernel round
         # trips end-to-end, so the already-charged exception entry is
         # part of it.
-        call = max(call - self.cpu.exception_delay.mean_s, 0.0)
-        freq = self.cpu.nominal_frequency * self._speed[self._state]
-        routine = emulation_cycles(opcode) / freq
+        call -= self.cpu.exception_delay.mean_s
+        if call < 0.0:
+            call = 0.0
+        routine = emulation_cycles(opcode) / self._freq
         if self._tracer is not None:
             self._tracer.complete("emulation", "sim", ts_s=self._t,
                                   dur_s=call + routine, track=TRACK_SIM,
@@ -325,35 +387,47 @@ class TraceSimulator(CpuControl):
 
     def run(self) -> SimResult:
         """Execute the trace to completion and return the result."""
-        trace = self.trace
-        n = trace.n_instructions
-        n_events = trace.n_events
+        n = self.trace.n_instructions
+        n_events = self._n_events
         idx = self._ep.indices
         state_time = self._state_time
+        inf = math.inf
         if self._timeline is not None:
             self._log_state()
 
+        # Each comparison below must pick what min()/max() would (the
+        # first argument on ties and NaN), or results change in the
+        # last bit.
         while self._pos < n:
             ev = self._ev
-            next_idx = int(idx[ev]) if ev < n_events else n
-            rate = self._instr_rate_base * self._speed[self._state]
-            t_arrive = self._t + max(next_idx - self._pos, 0) / rate
+            pos = self._pos
+            t = self._t
+            rate = self._rate
+            gap = (idx.item(ev) if ev < n_events else n) - pos
+            if gap < 0:
+                gap = 0
+            t_next = t + gap / rate
 
             pending = self._pending
-            t_pending = pending[0] if pending else np.inf
-            fires_at = self._fires_at
-            t_timer = fires_at if fires_at is not None else np.inf
-
-            t_next = min(t_arrive, t_pending, t_timer)
+            t_pending = pending[0] if pending else inf
+            if t_pending < t_next:
+                t_next = t_pending
+            t_timer = self._fires_at
+            if t_timer is None:
+                t_timer = inf
+            elif t_timer < t_next:
+                t_next = t_timer
             # Advance to t_next at the current rate.  A bulk jump can
             # overshoot a pending completion by a fraction of one
             # instruction; such events then fire "immediately".
-            dt = max(t_next - self._t, 0.0)
-            self._pos = min(self._pos + dt * rate, n)
+            dt = t_next - t
+            if dt < 0.0:
+                dt = 0.0
+            pos += dt * rate
+            self._pos = n if n < pos else pos
             self._energy += self._power_now * dt
-            label = self._state.value
-            state_time[label] = state_time.get(label, 0.0) + dt
-            self._t += dt
+            state_time[self._label] += dt
+            self._t = t + dt
 
             if t_next == t_pending:
                 self._complete_pending()
@@ -397,6 +471,13 @@ class TraceSimulator(CpuControl):
             times.popleft()
         return times
 
+    def _consts(self, state: SuitState) -> Tuple[float, float, str, float]:
+        """*state*'s (power, instruction rate, label, clock), picked by
+        identity (an Enum-keyed dict would hash in Python)."""
+        if state is _E:
+            return self._consts_e
+        return self._consts_cf if state is _CF else self._consts_cv
+
     def _set_state(self, state: SuitState) -> None:
         if state is not self._state:
             if self._tracer is not None:
@@ -404,7 +485,8 @@ class TraceSimulator(CpuControl):
                     "p-state change", "sim", ts_s=self._t, track=TRACK_SIM,
                     args={"from": self._state.value, "to": state.value})
             self._state = state
-            self._power_now = self._power[state]
+            (self._power_now, self._rate, self._label,
+             self._freq) = self._consts(state)
             if self._timeline is not None:
                 self._log_state()
 
@@ -419,9 +501,9 @@ class TraceSimulator(CpuControl):
         _, target, power_only = self._pending
         self._pending = None
         if power_only:
-            self._power_now = self._power[target]
+            self._power_now = self._consts(target)[0]
             return
-        if target is SuitState.CV and self._state is SuitState.CF:
+        if target is _CV and self._state is _CF:
             # Voltage reached the conservative level: raise the clock
             # back to nominal — the second stall of Fig 6.
             _, stall = self.cpu.transitions.frequency_change(self._rng)
@@ -479,36 +561,38 @@ class TraceSimulator(CpuControl):
         if self._disabled or self._fires_at is None:
             return
         ep = self._ep
-        rate = self._instr_rate_base * self._speed[self._state]
-        deadline_instr = self._deadline_s * rate
+        rate = self._rate
+        deadline_s = self._deadline_s
 
-        hi = self.trace.n_events
-        if self._pending is not None:
-            horizon_pos = self._pos + (self._pending[0] - self._t) * rate
+        hi = self._n_events
+        pending = self._pending
+        if pending is not None:
+            horizon_pos = self._pos + (pending[0] - self._t) * rate
             # Integer query: a float query would promote (copy) the
             # whole int64 index array on every call.  For integer
             # indices, idx >= horizon_pos iff idx >= ceil(horizon_pos).
-            hi = int(np.searchsorted(ep.indices, math.ceil(horizon_pos),
-                                     side="left"))
+            hi = int(ep.indices.searchsorted(math.ceil(horizon_pos),
+                                             side="left"))
         start = self._ev
         if start >= hi:
             return
         # Integer threshold: gap > x iff gap > floor(x) for int gaps.
-        threshold = min(math.floor(deadline_instr), _MAX_GAP)
+        threshold = math.floor(deadline_s * rate)
+        if _MAX_GAP < threshold:
+            threshold = _MAX_GAP
         stop = ep.first_big_gap(start, hi, threshold, self._block_buf)
-        last = stop - 1
-        if last < start:
+        if stop <= start:
             return
-        # Jump: consume events start..last at constant speed/power.
-        target_pos = int(ep.indices[last]) + 1
+        # Jump: consume events start..stop-1 at constant speed/power.
+        target_pos = ep.indices.item(stop - 1) + 1
         dt = (target_pos - self._pos) / rate
         self._energy += self._power_now * dt
-        label = self._state.value
-        self._state_time[label] = self._state_time.get(label, 0.0) + dt
-        self._t += dt
+        self._state_time[self._label] += dt
+        t = self._t + dt
+        self._t = t
         self._pos = target_pos
-        self._ev = last + 1
-        self._fires_at = self._t + self._deadline_s
+        self._ev = stop
+        self._fires_at = t + deadline_s
 
     def _bulk_emulate(self) -> None:
         """Fast path for pure-emulation runs: with no timer and no
@@ -518,27 +602,26 @@ class TraceSimulator(CpuControl):
                 or self._pending is not None):
             return
         trace = self.trace
-        n_rem = trace.n_events - self._ev
+        n_rem = self._n_events - self._ev
         if n_rem <= 0:
             return
-        rate = self._instr_rate_base * self._speed[self._state]
-        freq = self.cpu.nominal_frequency * self._speed[self._state]
         # Execution time of the instructions up to (and including) the
         # last event, plus per-event emulation stalls.
         target_pos = int(trace.indices[-1]) + 1
-        run_time = (target_pos - self._pos) / rate
+        run_time = (target_pos - self._pos) / self._rate
         call = self.cpu.emulation_call_delay
         calls = np.clip(
             self._rng.normal(call.mean_s, call.sigma_s or 0.0, size=n_rem),
             call.mean_s * 0.25, call.mean_s * 4.0)
-        routines = trace.emulation_cycle_table()[trace.opcodes[self._ev:]] / freq
+        routines = (trace.emulation_cycle_table()[trace.opcodes[self._ev:]]
+                    / self._freq)
         stall_total = float(calls.sum() + routines.sum())
         self._energy += self._power_now * (run_time + stall_total)
-        self._state_time[self._state.value] += run_time
+        self._state_time[self._label] += run_time
         self._state_time["stall"] += stall_total
         self._t += run_time + stall_total
         self._pos = target_pos
-        self._ev = trace.n_events
+        self._ev = self._n_events
         self._n_exceptions += n_rem
 
     def _result(self) -> SimResult:

@@ -32,11 +32,24 @@ class DelaySpec:
             raise ValueError("delay mean and sigma must be non-negative")
 
     def sample(self, rng: np.random.Generator) -> float:
-        """One realisation, clipped to [mean/4, mean*4]."""
+        """One realisation, clipped to [mean/4, mean*4].
+
+        *rng* is anything with ``Generator.normal``'s scalar form, such
+        as the simulator's :class:`~repro.core.simulator.NormalStream`.
+        A zero-sigma spec draws nothing.
+        """
         if self.sigma_s == 0:
             return self.mean_s
-        value = rng.normal(self.mean_s, self.sigma_s)
-        return float(min(max(value, self.mean_s * 0.25), self.mean_s * 4.0))
+        mean = self.mean_s
+        value = rng.normal(mean, self.sigma_s)
+        # The same value as float(min(max(value, lo), hi)), NaN included.
+        lo = mean * 0.25
+        if value < lo:
+            value = lo
+        hi = mean * 4.0
+        if hi < value:
+            value = hi
+        return float(value)
 
 
 @dataclass

@@ -172,6 +172,9 @@ class SharedTraceStore:
     def _pending_path(self, digest: str) -> Path:
         return self.root / f"{digest}.pending"
 
+    def _record_path(self, digest: str) -> Path:
+        return self.root / f"{digest}.shm"
+
     @contextmanager
     def _lock(self) -> Iterator[None]:
         if fcntl is None:  # pragma: no cover - non-POSIX platforms
@@ -202,7 +205,7 @@ class SharedTraceStore:
             inject("tracestore.publish", key=key)
             with self._lock():
                 if not self._meta_path(digest).exists():
-                    _reap_pending(self._pending_path(digest))
+                    _reap_marker(self._pending_path(digest))
                     self._write_segment(key, digest, trace)
                     registry.counter(
                         "trace_store_publish_total",
@@ -224,13 +227,19 @@ class SharedTraceStore:
         shm_name = f"repro_{digest[:12]}_{os.getpid()}"
         # Crash-recovery marker: names the segment *before* it exists,
         # and survives a publisher dying anywhere between segment
-        # creation and manifest publish.  _reap_pending / cleanup /
+        # creation and manifest publish.  _reap_marker / cleanup /
         # gc_stale_stores use it to unlink the orphan.
         pending = self._pending_path(digest)
         pending.write_text(json.dumps({"shm": shm_name,
                                        "pid": os.getpid()}))
-        shm = shared_memory.SharedMemory(name=shm_name, create=True,
-                                         size=max(total, 1))
+        try:
+            shm = shared_memory.SharedMemory(name=shm_name, create=True,
+                                             size=max(total, 1))
+        except FileExistsError:
+            # Another store of this process holds the key under the
+            # same name: the marker must not name its segment.
+            pending.unlink()
+            raise
         # Ownership belongs to the store owner, not whichever worker
         # happened to publish first (see _unregister).
         _unregister(shm.name)
@@ -264,8 +273,11 @@ class SharedTraceStore:
         tmp = self._meta_path(digest).with_suffix(".tmp")
         tmp.write_text(json.dumps(meta))
         os.replace(tmp, self._meta_path(digest))
+        # The marker becomes the segment's record: readers never open
+        # it, so it still names the segment for _destroy_store_dir when
+        # the manifest is corrupted.
         try:
-            pending.unlink()
+            os.replace(pending, self._record_path(digest))
         except OSError:  # pragma: no cover - marker raced away
             pass
 
@@ -413,21 +425,23 @@ def _unlink_segment(name: str) -> bool:
     return True
 
 
-def _reap_pending(pending: Path) -> None:
-    """Recover from a publisher that died mid-publish.
+def _reap_marker(marker: Path) -> None:
+    """Unlink the segment a ``.pending`` marker or ``.shm`` record
+    names, then the file itself.
 
-    A ``.pending`` marker without its manifest means the segment (if it
-    got as far as existing) is an orphan no manifest will ever name:
-    unlink both so the next publisher starts clean.
+    Also the recovery from a publisher that died mid-publish: a
+    ``.pending`` marker without its manifest means the segment (if it
+    got as far as existing) is an orphan no manifest will ever name,
+    so the next publisher reaps both and starts clean.
     """
     try:
-        info = json.loads(pending.read_text())
+        info = json.loads(marker.read_text())
         shm_name = str(info["shm"])
     except (OSError, ValueError, KeyError, TypeError):
         return
     _unlink_segment(shm_name)
     try:
-        pending.unlink()
+        marker.unlink()
     except OSError:  # pragma: no cover - raced with another reaper
         pass
 
@@ -437,7 +451,8 @@ def _destroy_store_dir(root: Path) -> None:
 
     Shared by owner :meth:`SharedTraceStore.cleanup` and
     :func:`gc_stale_stores`; tolerates every partial-state shape a
-    crash can leave (manifests, pending markers, both, neither).
+    crash can leave (manifests, pending markers, both, neither).  A
+    corrupt manifest's segment is still named by its ``.shm`` record.
     """
     if not root.is_dir():
         return
@@ -451,8 +466,8 @@ def _destroy_store_dir(root: Path) -> None:
             meta_path.unlink()
         except OSError:  # pragma: no cover
             pass
-    for pending in root.glob("*.pending"):
-        _reap_pending(pending)
+    for marker in [*root.glob("*.pending"), *root.glob("*.shm")]:
+        _reap_marker(marker)
     for leftover in (root / ".lock", root / OWNER_MARKER):
         try:
             leftover.unlink()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -84,3 +86,27 @@ def dense_profile():
 @pytest.fixture(scope="session")
 def dense_trace(dense_profile):
     return generate_trace(dense_profile, seed=2)
+
+
+_SHM_DIR = Path("/dev/shm")
+
+
+def _repro_segments():
+    return {p.name for p in _SHM_DIR.glob("repro_*")}
+
+
+@pytest.fixture
+def no_leaked_segments():
+    """Fail a test that leaves a new ``/dev/shm/repro_*`` segment.
+
+    Compares the names before and after the test, so segments leaked
+    earlier on the host do not count.  Checks nothing where
+    ``/dev/shm`` does not exist.
+    """
+    if not _SHM_DIR.is_dir():
+        yield
+        return
+    before = _repro_segments()
+    yield
+    leaked = sorted(_repro_segments() - before)
+    assert not leaked, f"test left shm segments behind: {leaked}"

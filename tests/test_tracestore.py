@@ -42,6 +42,10 @@ def _trace(n_events=1000, name="stored"):
         opcode_table=(Opcode.VOR, Opcode.VPCMP))
 
 
+#: Every test here must unlink each segment it creates.
+pytestmark = pytest.mark.usefixtures("no_leaked_segments")
+
+
 @pytest.fixture
 def store():
     s = SharedTraceStore.create("test")

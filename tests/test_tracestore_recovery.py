@@ -48,6 +48,10 @@ def _trace(n_events=500, name="recov"):
         opcode_table=(Opcode.VOR, Opcode.VPCMP))
 
 
+#: Every test here must unlink each segment it creates.
+pytestmark = pytest.mark.usefixtures("no_leaked_segments")
+
+
 @pytest.fixture
 def store():
     s = SharedTraceStore.create("recov")
@@ -210,6 +214,82 @@ class TestAttachVsCleanupRace:
         reader = SharedTraceStore(store.root, owner=False)
         assert reader.get("k") is None
         reader.close()
+
+
+class TestCleanupUnlinksOnlyItsOwnSegments:
+    _CHILD = """
+import numpy as np
+from pathlib import Path
+from repro.isa.opcodes import Opcode
+from repro.workloads.trace import FaultableTrace
+from repro.workloads.tracestore import SharedTraceStore
+
+indices = np.arange(0, 500_000, 1_000, dtype=np.int64)
+trace = FaultableTrace(
+    name="recov", n_instructions=500_000, ipc=1.4, indices=indices,
+    opcodes=np.zeros(indices.size, dtype=np.uint8),
+    opcode_table=(Opcode.VOR,))
+store = SharedTraceStore(Path({root!r}), owner=False)
+assert store.publish({key!r}, trace) is not trace
+"""
+
+    @staticmethod
+    def _segment_name(store, key):
+        meta_path = store._meta_path(SharedTraceStore._digest(key))
+        return json.loads(meta_path.read_text())["shm"]
+
+    def _publish_from_another_process(self, store, key):
+        env = dict(os.environ, PYTHONPATH=_SRC)
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             self._CHILD.format(root=str(store.root), key=key)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_corrupt_manifest_segment_is_unlinked(self):
+        """The corrupt-manifest scenario above, then cleanup: the
+        segment goes too, while another store (published from another
+        process) holding the same key keeps its own."""
+        other = SharedTraceStore.create("recov-other")
+        try:
+            self._publish_from_another_process(other, "k")
+            other_shm = self._segment_name(other, "k")
+            store = SharedTraceStore.create("recov")
+            store.publish("k", _trace())
+            own_shm = self._segment_name(store, "k")
+            assert own_shm != other_shm
+            store._meta_path(SharedTraceStore._digest("k")).write_text(
+                "{half a manifest")
+            reader = SharedTraceStore(store.root, owner=False)
+            assert reader.get("k") is None
+            reader.close()
+            store.cleanup()
+            assert not _segment_exists(own_shm)
+            assert _segment_exists(other_shm)
+            assert other.get("k") is not None
+        finally:
+            other.cleanup()
+        assert not _segment_exists(other_shm)
+
+    def test_same_key_in_two_stores_of_one_process(self):
+        """A process names its segments by key and pid, so a second
+        store of the same process cannot share the first one's key: it
+        falls back to the private trace, and its cleanup must leave the
+        first store's segment alone."""
+        first = SharedTraceStore.create("recov-first")
+        try:
+            first.publish("k", _trace())
+            first_shm = self._segment_name(first, "k")
+            second = SharedTraceStore.create("recov-second")
+            private = _trace()
+            assert second.publish("k", private) is private
+            second.cleanup()
+            assert _segment_exists(first_shm)
+            np.testing.assert_array_equal(first.get("k").indices,
+                                          private.indices)
+        finally:
+            first.cleanup()
+        assert not _segment_exists(first_shm)
 
 
 class TestStaleStoreGc:
